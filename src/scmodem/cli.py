@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -83,9 +84,12 @@ def _parse_preamble(text: str) -> bytes:
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"expected a comma-separated number list, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"numbers must be finite, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +262,10 @@ def _resolve_params(args: argparse.Namespace) -> dict:
         ebno_list = _floats(args.ebno_list)
         if not ebno_list:
             raise UsageError("--ebno-list must not be empty")
+        if not 0 <= args.extra_k <= 255:
+            raise UsageError("--extra-k must be in [0, 255]")
+        if not 1 <= args.threshold <= 32:
+            raise UsageError("--threshold must be in [1, 32]")
         return {
             "ebno_list": ebno_list,
             "frames": args.frames,
@@ -272,9 +280,12 @@ def _resolve_params(args: argparse.Namespace) -> dict:
             raise UsageError("--trials and --frames must be positive")
         if not 1 <= args.threshold <= 32:
             raise UsageError("--threshold must be in [1, 32]")
+        p_list = _floats(args.p_list)
+        if not all(0.0 <= p <= 0.5 for p in p_list):
+            raise UsageError("--p-list values must be in [0, 0.5]")
         return {
             "mode": args.mode,
-            "p_list": _floats(args.p_list),
+            "p_list": p_list,
             "threshold": args.threshold,
             "trials": args.trials,
             "frames": args.frames,
@@ -300,9 +311,11 @@ def _resolve_params(args: argparse.Namespace) -> dict:
         if args.frames < 1:
             raise UsageError("--frames must be positive")
         try:
-            Fraction(args.write_scale), Fraction(args.read_scale)
+            scales = Fraction(args.write_scale), Fraction(args.read_scale)
         except (ValueError, ZeroDivisionError):
             raise UsageError("--write-scale/--read-scale must be rationals like 1.01 or 101/100")
+        if min(scales) <= 0:
+            raise UsageError("--write-scale/--read-scale must be positive")
         return {
             "frames": args.frames,
             "depth": args.depth,

@@ -94,11 +94,6 @@ def frame_to_hex(frame: bytes) -> str:
     return frame.hex().upper()
 
 
-def frames_to_hexdump(frames: np.ndarray) -> str:
-    """One frame per line, 520 uppercase hex characters each."""
-    return "\n".join(frame_to_hex(bytes(row)) for row in np.asarray(frames, dtype=np.uint8))
-
-
 @dataclass
 class FifoReport:
     depth: int

@@ -2,6 +2,8 @@
 
 Log/antilog tables are built once at import; all operations are table lookups.
 The antilog table is doubled so that a log-sum up to 508 needs no modulo.
+The block Reed-Solomon routines use the full 256x256 product table and the
+inverse table instead.
 """
 
 from __future__ import annotations
@@ -33,6 +35,19 @@ EXP_TABLE, LOG_TABLE = _build_tables()
 # numpy views for the block-oriented Reed-Solomon routines
 GF_EXP = np.array(EXP_TABLE, dtype=np.uint8)
 GF_LOG = np.array(LOG_TABLE, dtype=np.int64)
+
+
+def _build_mul_table() -> np.ndarray:
+    mul = GF_EXP[GF_LOG[:, None] + GF_LOG[None, :]]
+    mul[0, :] = 0
+    mul[:, 0] = 0
+    return mul
+
+
+# GF_MUL[a, b] = a * b; GF_INV[a] = 1 / a, with GF_INV[0] = 0 so that a
+# quotient by zero reads as 0
+GF_MUL = _build_mul_table()
+GF_INV = np.concatenate([[0], GF_EXP[ORDER - GF_LOG[1:]]]).astype(np.uint8)
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -73,10 +88,3 @@ def poly_mul(p: list[int], q: list[int]) -> list[int]:
                 out[i + j] ^= EXP_TABLE[la + LOG_TABLE[b]]
     return out
 
-
-def poly_eval(p: list[int], x: int) -> int:
-    """Horner evaluation of a descending-order polynomial."""
-    acc = 0
-    for c in p:
-        acc = gf_mul(acc, x) ^ c
-    return acc

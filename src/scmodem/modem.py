@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin
-
-SYMBOL_RATE_MSPS = 875  # informational
 
 
 def diff_encode(bits: np.ndarray) -> np.ndarray:
@@ -83,6 +80,8 @@ class WaveformConfig:
 
 
 def lowpass_taps(cfg: WaveformConfig) -> np.ndarray:
+    from scipy.signal import firwin  # only waveform rendering needs scipy
+
     ntaps = cfg.numtaps if cfg.numtaps is not None else 6 * cfg.oversampling + 1
     # firwin cutoff is relative to Nyquist = L/2 symbol rates
     norm = cfg.cutoff_ratio / (cfg.oversampling / 2.0)

@@ -1,9 +1,21 @@
 """Reed-Solomon (255, 239) codec over GF(256), 8-byte correction capacity.
 
-Systematic encoding by polynomial division; decoding via syndromes,
-Berlekamp-Massey, Chien search and Forney's formula.  Generator roots are
-alpha^1 .. alpha^16 with alpha = 0x02.  Block (vectorized) variants of the
-encoder and syndrome computation are provided for the Monte Carlo harnesses.
+The codec is block-native: every routine takes n words as an (n, m) uint8
+array, and the scalar ``rs_encode`` and ``rs_decode`` are blocks of one.
+Generator roots are alpha^1 .. alpha^16 with alpha = 0x02; byte i of a
+codeword carries x^(254 - i).
+
+Encoding and syndromes are GF(2)-linear in the input bytes, so each is an XOR
+of per-position lookup tables, ``parity = XOR_i T_i[data_i]`` and
+``S = XOR_i U_i[word_i]``, with every 16-byte table entry packed as two
+uint64.  Decoding takes every row with a nonzero syndrome at once: Berlekamp-
+Massey runs its 16 steps with numpy masks over the row axis and a 256x256
+multiply table, Chien search evaluates the error locator at all 255 field
+points of every row, and Forney's formula gives the magnitude at each of the
+(at most 8) roots of a row.  A row is corrected only if 1 <= L <= 8, the
+locator has degree L and L roots, no Forney denominator or magnitude is zero,
+and the corrected word has zero syndromes; otherwise it is flagged
+uncorrectable and passed through unchanged.
 """
 
 from __future__ import annotations
@@ -12,22 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf256 import (
-    EXP_TABLE,
-    GF_EXP,
-    GF_LOG,
-    LOG_TABLE,
-    ORDER,
-    gf_inv,
-    gf_mul,
-    poly_mul,
-)
+from .gf256 import EXP_TABLE, GF_EXP, GF_INV, GF_MUL, ORDER, gf_mul, poly_mul
 
 N = 255
 K = 239
 PARITY = N - K  # 16
 T = PARITY // 2  # 8
 FIRST_ROOT = 1  # generator roots alpha^FIRST_ROOT .. alpha^(FIRST_ROOT+15)
+_CHUNK = 512  # rows per table gather: bounds the (m, rows, 2) uint64 temporary
 
 
 def _generator_poly() -> list[int]:
@@ -39,16 +43,48 @@ def _generator_poly() -> list[int]:
 
 GENERATOR = _generator_poly()  # monic, degree 16, descending order
 
-# log of the non-leading generator coefficients, used by the encoders
-_GEN_LOG = [LOG_TABLE[c] for c in GENERATOR[1:]]
 
-# _SYND_LOGPOW[j, i] = log(alpha^((j+1) * deg(i))) with byte i carrying x^(254-i)
-_SYND_LOGPOW = np.array(
-    [[((j + 1) * (N - 1 - i)) % ORDER for i in range(N)] for j in range(PARITY)],
-    dtype=np.int64,
-)
+def _packed_tables(coef: np.ndarray) -> np.ndarray:
+    """Flat (m * 256, 2) uint64 table whose row 256 i + v packs v * coef[i, :16]."""
+    table = GF_MUL[:, coef].transpose(1, 0, 2)  # (m, 256, 16): v * coef[i, j]
+    return np.ascontiguousarray(table).view(np.uint64).reshape(-1, 2)
 
-_CHIEN_K = np.arange(ORDER, dtype=np.int64)
+
+def _encoder_coefs() -> np.ndarray:
+    """Row i: x^(254 - i) mod g(x), i.e. the parity of a unit at data byte i."""
+    gen = GENERATOR[1:]
+    rows = [gen]  # x^16 mod g, data byte 238
+    for _ in range(K - 1):
+        r = rows[-1]
+        rows.append([a ^ gf_mul(r[0], g) for a, g in zip(r[1:] + [0], gen)])
+    return np.array(rows[::-1], dtype=np.uint8)
+
+
+_EXP_IDX = np.arange(N)
+# _SYND_COEF[i, j] = alpha^((j + 1) * (254 - i)): S_(j+1) term of byte i
+_SYND_COEF = GF_EXP[(np.arange(FIRST_ROOT, FIRST_ROOT + PARITY)[None, :] * (N - 1 - _EXP_IDX[:, None])) % ORDER]
+_ENC_TABLE = _packed_tables(_encoder_coefs())
+_SYND_TABLE = _packed_tables(_SYND_COEF)
+# _CHIEN[i - 1, c, k] = c * alpha^(i k): term i of Lambda(alpha^k), i = 1..8
+_CHIEN = GF_MUL[:, GF_EXP[(np.arange(1, T + 1)[:, None] * _EXP_IDX[None, :]) % ORDER]].transpose(1, 0, 2).copy()
+
+
+def _xor_lookup(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """XOR over columns i of table[256 i + rows[:, i]], as (n, 16) uint8."""
+    n, m = rows.shape
+    offsets = (np.arange(m, dtype=np.intp) * 256)[:, None]
+    out = np.empty((n, 2), dtype=np.uint64)
+    for s in range(0, n, _CHUNK):
+        picked = np.take(table, rows[s : s + _CHUNK].T + offsets, axis=0)  # (m, rows, 2)
+        np.bitwise_xor.reduce(picked, axis=0, out=out[s : s + _CHUNK])
+    return out.view(np.uint8)
+
+
+def _check_block(arr, width: int, name: str) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.uint8)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{name} must have shape (n, {width})")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -58,139 +94,111 @@ class DecodeOutcome:
     uncorrectable: bool
 
 
+def rs_encode_block(data: np.ndarray) -> np.ndarray:
+    """Encode an (n, 239) uint8 array into an (n, 255) codeword array."""
+    data = _check_block(data, K, "data")
+    return np.hstack([data, _xor_lookup(_ENC_TABLE, data)])
+
+
 def rs_encode(data: bytes) -> bytes:
     """Encode 239 data bytes into a systematic 255-byte codeword."""
     if len(data) != K:
         raise ValueError(f"data must be exactly {K} bytes, got {len(data)}")
-    rem = [0] * PARITY
-    for byte in data:
-        fb = byte ^ rem[0]
-        rem = rem[1:] + [0]
-        if fb:
-            lf = LOG_TABLE[fb]
-            for j in range(PARITY):
-                rem[j] ^= EXP_TABLE[lf + _GEN_LOG[j]]
-    return bytes(data) + bytes(rem)
-
-
-def rs_encode_block(data: np.ndarray) -> np.ndarray:
-    """Encode an (n, 239) uint8 array into an (n, 255) codeword array."""
-    data = np.asarray(data, dtype=np.uint8)
-    if data.ndim != 2 or data.shape[1] != K:
-        raise ValueError(f"data must have shape (n, {K})")
-    n = data.shape[0]
-    rem = np.zeros((n, PARITY), dtype=np.uint8)
-    for i in range(K):
-        fb = rem[:, 0] ^ data[:, i]
-        rem[:, :-1] = rem[:, 1:]
-        rem[:, -1] = 0
-        nz = np.nonzero(fb)[0]
-        if nz.size:
-            lf = GF_LOG[fb[nz]]
-            for j in range(PARITY):
-                rem[nz, j] ^= GF_EXP[lf + _GEN_LOG[j]]
-    return np.hstack([data, rem])
+    return rs_encode_block(np.frombuffer(bytes(data), dtype=np.uint8)[None, :])[0].tobytes()
 
 
 def syndromes_block(codewords: np.ndarray) -> np.ndarray:
     """Syndromes S_1..S_16 for each row of an (n, 255) uint8 array."""
-    cw = np.asarray(codewords, dtype=np.uint8)
-    if cw.ndim != 2 or cw.shape[1] != N:
-        raise ValueError(f"codewords must have shape (n, {N})")
-    zero = cw == 0
-    logs = GF_LOG[cw]
-    out = np.zeros((cw.shape[0], PARITY), dtype=np.uint8)
-    for j in range(PARITY):
-        term = GF_EXP[logs + _SYND_LOGPOW[j]]
-        term[zero] = 0
-        out[:, j] = np.bitwise_xor.reduce(term, axis=1)
-    return out
+    return _xor_lookup(_SYND_TABLE, _check_block(codewords, N, "codewords"))
 
 
-def syndromes(received: bytes | np.ndarray) -> list[int]:
-    arr = np.frombuffer(bytes(received), dtype=np.uint8)
-    return [int(s) for s in syndromes_block(arr[None, :])[0]]
+def _berlekamp_massey(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Error locators (m, 17) in ascending order and their lengths L (m,).
+
+    Massey's recursion, one row per word: the correction term x^m B / b is
+    kept pre-shifted in ``shifted``, so a zero discrepancy adds nothing.
+    Index arrays are intp, which numpy gathers without a cast.
+    """
+    m = synd.shape[0]
+    lam = np.zeros((m, PARITY + 1), dtype=np.intp)
+    lam[:, 0] = 1
+    shifted = np.zeros_like(lam)
+    shifted[:, 1] = 1
+    length = np.zeros(m, dtype=np.intp)
+    b_inv = np.ones(m, dtype=np.intp)
+    # rev[:, PARITY - 1 - j] = S_(j+1); zeros stand for syndromes before S_1
+    rev = np.zeros((m, 2 * PARITY), dtype=np.intp)
+    rev[:, PARITY - 1 :: -1] = synd
+    for r in range(PARITY):
+        window = rev[:, PARITY - 1 - r : 2 * PARITY - r]  # column i: S_(r - i + 1)
+        d = np.bitwise_xor.reduce(GF_MUL[lam, window], axis=1)
+        grow = (d != 0) & (2 * length <= r)
+        old = np.where(grow[:, None], lam, shifted)
+        lam ^= GF_MUL[GF_MUL[d, b_inv][:, None], shifted]
+        length[grow] = r + 1 - length[grow]
+        b_inv[grow] = GF_INV[d[grow]]
+        shifted[:, 1:] = old[:, :-1]
+        shifted[:, 0] = 0
+    return lam, length
 
 
-def _berlekamp_massey(synd: list[int]) -> tuple[list[int], int]:
-    """Error-locator polynomial (ascending coefficients) and its degree bound L."""
-    c = [1]
-    b = [1]
-    L = 0
-    m = 1
-    bb = 1
-    for n in range(len(synd)):
-        d = synd[n]
-        for i in range(1, L + 1):
-            if i < len(c):
-                d ^= gf_mul(c[i], synd[n - i])
-        if d == 0:
-            m += 1
-            continue
-        coef = gf_mul(d, gf_inv(bb))
-        if 2 * L <= n:
-            t = c[:]
-            need = len(b) + m
-            if len(c) < need:
-                c = c + [0] * (need - len(c))
-            for i, bi in enumerate(b):
-                if bi:
-                    c[i + m] ^= gf_mul(coef, bi)
-            L = n + 1 - L
-            b = t
-            bb = d
-            m = 1
-        else:
-            need = len(b) + m
-            if len(c) < need:
-                c = c + [0] * (need - len(c))
-            for i, bi in enumerate(b):
-                if bi:
-                    c[i + m] ^= gf_mul(coef, bi)
-            m += 1
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c, L
+def rs_decode_block(words: np.ndarray, synd: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounded-distance decode of every row of an (n, 255) uint8 array.
 
+    ``synd`` may carry the rows' ``syndromes_block`` when the caller already
+    has it.  Returns the corrected words (n, 255), the number of byte errors
+    corrected per row (0 for clean and flagged rows) and the uncorrectable
+    flags; flagged rows are passed through unchanged.
+    """
+    words = _check_block(words, N, "words")
+    synd = syndromes_block(words) if synd is None else _check_block(synd, PARITY, "synd")
+    if synd.shape[0] != words.shape[0]:
+        raise ValueError("synd must have one row per word")
+    n = words.shape[0]
+    corrected = words.copy()
+    n_err = np.zeros(n, dtype=np.int64)
+    flagged = np.zeros(n, dtype=bool)
+    rows = np.flatnonzero(synd.any(axis=1))
+    if rows.size == 0:
+        return corrected, n_err, flagged
+    flagged[rows] = True  # cleared below for every row that decodes
+    s = synd[rows]
+    lam, length = _berlekamp_massey(s)
+    degree = PARITY - np.argmax(lam[:, ::-1] != 0, axis=1)
+    ok = (length >= 1) & (length <= T) & (degree == length)
+    rows, s, lam, length = rows[ok], s[ok], lam[ok, : T + 1], length[ok]
 
-def _chien_roots(lam: list[int]) -> list[int]:
-    """Exponents k with Lambda(alpha^k) = 0, evaluated over all 255 points."""
-    acc = np.zeros(ORDER, dtype=np.uint8)
-    for i, ci in enumerate(lam):
-        if ci:
-            acc ^= GF_EXP[(LOG_TABLE[ci] + (_CHIEN_K * i) % ORDER)]
-    return [int(k) for k in np.nonzero(acc == 0)[0]]
+    # Chien search: Lambda(alpha^k) for all k; alpha^k = X^-1 marks degree -k
+    value = np.ones((rows.size, ORDER), dtype=np.uint8)
+    for i in range(1, T + 1):
+        value ^= _CHIEN[i - 1][lam[:, i]]
+    is_root = value == 0
+    ok = is_root.sum(axis=1) == length
+    rows, s, lam, length, is_root = rows[ok], s[ok], lam[ok], length[ok], is_root[ok]
 
+    # Forney: e = Omega(X^-1) / Lambda'(X^-1), Omega = S Lambda mod x^16
+    omega = np.zeros_like(s)
+    for i in range(T + 1):
+        omega[:, i:] ^= GF_MUL[lam[:, i : i + 1], s[:, : PARITY - i]]
+    r_idx, k = np.nonzero(is_root)
+    num = np.bitwise_xor.reduce(
+        GF_MUL[omega[r_idx], GF_EXP[(k[:, None] * np.arange(PARITY)) % ORDER]], axis=1)
+    # Lambda'(x) keeps the odd-power terms: sum of lam[2t + 1] x^(2t)
+    den = np.bitwise_xor.reduce(
+        GF_MUL[lam[r_idx, 1::2], GF_EXP[(k[:, None] * np.arange(0, T, 2)) % ORDER]], axis=1)
+    mag = GF_MUL[num, GF_INV[den]]  # 0 when den = 0
+    ok = np.bincount(r_idx, weights=mag == 0, minlength=rows.size) == 0
+    corrected[rows[r_idx], N - 1 - (ORDER - k) % ORDER] ^= mag
 
-def _forney(synd: list[int], lam: list[int], root_exps: list[int]) -> list[int]:
-    """Error magnitudes for each located root, first generator root = alpha^1."""
-    # Omega(x) = S(x) * Lambda(x) mod x^16, all ascending order
-    omega = [0] * PARITY
-    for i, si in enumerate(synd):
-        if si == 0:
-            continue
-        for j, cj in enumerate(lam):
-            if cj and i + j < PARITY:
-                omega[i + j] ^= gf_mul(si, cj)
-    # formal derivative keeps odd-power terms only (characteristic 2)
-    deriv = [lam[j] if j % 2 == 1 else 0 for j in range(1, len(lam))]
-    mags = []
-    for k in root_exps:
-        x_inv = EXP_TABLE[k]
-        num = 0
-        for j in range(PARITY - 1, -1, -1):
-            num = gf_mul(num, x_inv) ^ omega[j]
-        den = 0
-        for j in range(len(deriv) - 1, -1, -1):
-            den = gf_mul(den, x_inv) ^ deriv[j]
-        if den == 0:
-            return []
-        mags.append(gf_mul(num, gf_inv(den)))
-    return mags
+    ok[ok] = ~syndromes_block(corrected[rows[ok]]).any(axis=1)
+    corrected[rows[~ok]] = words[rows[~ok]]
+    flagged[rows[ok]] = False
+    n_err[rows[ok]] = length[ok]
+    return corrected, n_err, flagged
 
 
 def rs_decode(received: bytes | np.ndarray) -> DecodeOutcome:
-    """Bounded-distance decode of a 255-byte word.
+    """Bounded-distance decode of one 255-byte word (a block of one).
 
     Corrects up to 8 byte errors.  Uncorrectable words are flagged and the
     data field is passed through unchanged.
@@ -198,27 +206,5 @@ def rs_decode(received: bytes | np.ndarray) -> DecodeOutcome:
     raw = bytes(received)
     if len(raw) != N:
         raise ValueError(f"received word must be exactly {N} bytes, got {len(raw)}")
-    arr = np.frombuffer(raw, dtype=np.uint8).copy()
-    synd = [int(s) for s in syndromes_block(arr[None, :])[0]]
-    if not any(synd):
-        return DecodeOutcome(raw[:K], 0, False)
-
-    def failed() -> DecodeOutcome:
-        return DecodeOutcome(raw[:K], 0, True)
-
-    lam, L = _berlekamp_massey(synd)
-    if L > T or L == 0 or len(lam) - 1 != L:
-        return failed()
-    roots = _chien_roots(lam)
-    if len(roots) != L:
-        return failed()
-    mags = _forney(synd, lam, roots)
-    if len(mags) != L or any(m == 0 for m in mags):
-        return failed()
-    for k, m in zip(roots, mags):
-        # root alpha^k is X^-1, so the error sits at degree (-k) mod 255
-        deg = (-k) % ORDER
-        arr[N - 1 - deg] ^= m
-    if syndromes_block(arr[None, :])[0].any():
-        return failed()
-    return DecodeOutcome(arr[:K].tobytes(), L, False)
+    corrected, n_err, flagged = rs_decode_block(np.frombuffer(raw, dtype=np.uint8)[None, :])
+    return DecodeOutcome(corrected[0, :K].tobytes(), int(n_err[0]), bool(flagged[0]))

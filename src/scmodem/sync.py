@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import oaconvolve
 
 from . import framing
 from .framing import DEFAULT_EXTRA_K, FRAME_BITS
@@ -77,12 +76,27 @@ def correlate(window: np.ndarray, preamble: bytes | np.ndarray) -> int:
 
 
 def window_scores(bits: np.ndarray, preamble: bytes) -> np.ndarray:
-    """Correlator score at every bit offset of the stream (valid positions)."""
-    pb = preamble_bits(preamble)
-    x = bits.astype(np.float32) * 2.0 - 1.0
-    pv = pb.astype(np.float32) * 2.0 - 1.0
-    corr = oaconvolve(x, pv[::-1], mode="valid")
-    return np.rint((corr + PREAMBLE_BITS) / 2.0).astype(np.uint8)
+    """Correlator score at every bit offset of the stream (valid positions).
+
+    Packed-bit correlator: v holds the 40 stream bits from byte b on, so the
+    window at bit 8 b + r is (v >> (8 - r)) & 0xFFFFFFFF, and its score is 32
+    minus the popcount of its XOR with the preamble.
+    """
+    preamble_bits(preamble)  # validates the length
+    p = np.uint64(int.from_bytes(preamble, "big"))
+    bits = np.asarray(bits, dtype=np.uint8)
+    n_valid = max(bits.size - PREAMBLE_BITS + 1, 0)
+    n_pos = -(-n_valid // N_OFFSETS)
+    raw = np.packbits(bits)
+    packed = np.zeros(n_pos + 4, dtype=np.uint64)  # zero bytes past the stream end
+    packed[: raw.size] = raw
+    v = np.zeros(n_pos, dtype=np.uint64)
+    for j in range(5):
+        v |= packed[j : j + n_pos] << np.uint64(32 - 8 * j)
+    scores = np.empty((n_pos, N_OFFSETS), dtype=np.uint8)
+    for r in range(N_OFFSETS):
+        scores[:, r] = PREAMBLE_BITS - np.bitwise_count(((v >> np.uint64(8 - r)) ^ p) & np.uint64(0xFFFFFFFF))
+    return scores.reshape(-1)[:n_valid]
 
 
 def _extra_bits_tail(k: int, i: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Small shared helpers: bit packing and binomial confidence intervals."""
+"""Small shared helpers: bit unpacking and binomial confidence intervals."""
 
 from __future__ import annotations
 
@@ -6,27 +6,10 @@ import math
 
 import numpy as np
 
-# popcount per byte value
-POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
 def bytes_to_bits(data: bytes | np.ndarray) -> np.ndarray:
     """MSB-first unpacking of a byte buffer into a uint8 bit array."""
     arr = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(data, (bytes, bytearray)) else np.asarray(data, dtype=np.uint8)
     return np.unpackbits(arr)
-
-
-def bits_to_bytes(bits: np.ndarray) -> bytes:
-    """MSB-first packing; bit count must be a multiple of 8."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % 8:
-        raise ValueError("bit count must be a multiple of 8")
-    return np.packbits(bits).tobytes()
-
-
-def bit_errors(a: np.ndarray, b: np.ndarray) -> int:
-    """Hamming distance between two equal-shape uint8 byte arrays."""
-    return int(POPCOUNT[np.bitwise_xor(a, b)].sum())
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -47,6 +47,18 @@ def test_ber_zero_frames_rejected(tmp_path):
     assert main(["ber", "--frames", "0", "--out", str(tmp_path)]) == 2
 
 
+def test_ber_extra_k_out_of_range_rejected(tmp_path, capsys):
+    assert main(["ber", "--extra-k", "300", "--out", str(tmp_path)]) == 2
+    assert main(["ber", "--threshold", "0", "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_ber_nan_ebno_rejected(tmp_path, capsys):
+    assert main(["ber", "--ebno-list", "nan", "--out", str(tmp_path)]) == 2
+    assert main(["ber", "--ebno-list", "6,inf", "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2():
     assert main(["ber", "--no-such-flag"]) == 2
 
@@ -70,6 +82,11 @@ def test_sync_detection(tmp_path):
     assert float(rows[1][1]) == 1.0
 
 
+def test_sync_p_out_of_range_rejected(tmp_path, capsys):
+    assert main(["sync", "--mode", "detection", "--p-list", "0.7", "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_eye_subcommand(tmp_path):
     assert main(["eye", "--oversampling", "8", "--symbols", "64", "--out", str(tmp_path)]) == 0
     rows = _read(tmp_path / "eye.csv")
@@ -89,6 +106,12 @@ def test_fifo_subcommand(tmp_path):
 
 def test_fifo_rejects_depth(tmp_path):
     assert main(["fifo", "--depth", "1", "--out", str(tmp_path)]) == 2
+
+
+def test_fifo_zero_scale_rejected(tmp_path, capsys):
+    assert main(["fifo", "--write-scale", "0", "--out", str(tmp_path)]) == 2
+    assert main(["fifo", "--read-scale", "-1", "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_fifo_overflow_with_skew(tmp_path):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scmodem
 from scmodem.channel import apply_awgn
 from scmodem.modem import (
     DiffDemod,
@@ -131,3 +136,10 @@ def test_eye_traces_shape():
     traces = eye_traces(samples, 4)
     assert traces.ndim == 2 and traces.shape[1] == 8
     assert traces.shape[0] > 0
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported lazily, by waveform rendering only
+    env = dict(os.environ, PYTHONPATH=str(Path(scmodem.__file__).resolve().parents[1]))
+    code = "import scmodem, sys; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scmodem.rs import (
     GENERATOR,
@@ -9,13 +11,16 @@ from scmodem.rs import (
     N,
     PARITY,
     rs_decode,
+    rs_decode_block,
     rs_encode,
     rs_encode_block,
-    syndromes,
     syndromes_block,
 )
 
-from oracles import slow_poly_divmod
+from oracles import slow_generator, slow_gf_mul, slow_poly_divmod, slow_rs_decode
+
+# hypothesis runs a fixed sequence of examples, so tier-1 stays reproducible
+PROPERTY = settings(deadline=None, derandomize=True)
 
 
 def _corrupt(codeword: bytes, positions, rng: random.Random) -> bytes:
@@ -56,7 +61,8 @@ def test_roundtrip_random():
 def test_clean_codeword_has_zero_syndromes():
     rng = random.Random(1)
     data = bytes(rng.randrange(256) for _ in range(K))
-    assert syndromes(rs_encode(data)) == [0] * PARITY
+    cw = np.frombuffer(rs_encode(data), dtype=np.uint8)
+    assert syndromes_block(cw[None, :])[0].tolist() == [0] * PARITY
 
 
 def test_syndrome_linearity():
@@ -95,18 +101,17 @@ def test_eight_errors_at_capacity():
 
 
 def test_exhaustive_single_error_sweep():
-    # every position x every wrong value, 255 * 255 cases
+    # every position x every wrong value, 255 * 255 cases, in one block
     rng = random.Random(3)
     data = bytes(rng.randrange(256) for _ in range(K))
     cw = np.frombuffer(rs_encode(data), dtype=np.uint8)
-    for pos in range(N):
-        for delta in range(1, 256):
-            bad = cw.copy()
-            bad[pos] ^= delta
-            out = rs_decode(bad.tobytes())
-            assert not out.uncorrectable
-            assert out.errors_corrected == 1
-            assert out.corrected_data == data
+    pos, delta = np.divmod(np.arange(N * 255), 255)
+    bad = np.tile(cw, (N * 255, 1))
+    bad[np.arange(N * 255), pos] ^= (delta + 1).astype(np.uint8)
+    corrected, n_err, flagged = rs_decode_block(bad)
+    assert not flagged.any()
+    assert (n_err == 1).all()
+    assert (corrected[:, :K] == np.frombuffer(data, dtype=np.uint8)).all()
 
 
 def test_beyond_capacity_flagged_and_passed_through():
@@ -131,3 +136,98 @@ def test_block_encoder_matches_scalar():
     block = rs_encode_block(data)
     for i in range(16):
         assert block[i].tobytes() == rs_encode(data[i].tobytes())
+
+
+def _error_pattern(weight: int):
+    """(positions, nonzero deltas) of one word with exactly ``weight`` byte errors."""
+    return st.tuples(
+        st.lists(st.integers(0, N - 1), min_size=weight, max_size=weight, unique=True),
+        st.lists(st.integers(1, 255), min_size=weight, max_size=weight),
+    )
+
+
+def _received_words(n_words: int):
+    """Blocks of codewords of random data hit by 0-16 byte errors, one word in
+    five moved instead to within 1-8 bytes of a neighbouring codeword (at
+    distance 17), so that the decoder miscorrects it.  Hypothesis draws the
+    seed; numpy draws the words, which keeps 2000 words cheap to generate."""
+
+    def build(seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        words = rs_encode_block(rng.integers(0, 256, (n_words, K), dtype=np.uint8))
+        for row in words:
+            if rng.random() < 0.2:
+                shift = int(rng.integers(0, N - PARITY))
+                scale = int(rng.integers(1, 256))
+                neighbour = row.copy()  # + scale x^(238 - shift) g(x)
+                neighbour[shift : shift + PARITY + 1] ^= np.array([slow_gf_mul(scale, g) for g in GENERATOR], dtype=np.uint8)
+                moved = shift + rng.choice(PARITY + 1, int(rng.integers(9, PARITY + 1)), replace=False)
+                row[moved] = neighbour[moved]
+            else:
+                weight = int(rng.integers(0, PARITY + 1))
+                row[rng.choice(N, weight, replace=False)] ^= rng.integers(1, 256, weight, dtype=np.uint8)
+        return words
+
+    return st.integers(0, 2**32 - 1).map(build)
+
+
+@PROPERTY
+@given(data=st.binary(min_size=K, max_size=K), pattern=st.integers(0, 8).flatmap(_error_pattern))
+def test_any_error_pattern_up_to_capacity_decodes(data, pattern):
+    word = np.frombuffer(rs_encode(data), dtype=np.uint8).copy()
+    pos, delta = pattern
+    word[pos] ^= np.array(delta, dtype=np.uint8)
+    out = rs_decode(word.tobytes())
+    assert (out.corrected_data, out.errors_corrected, out.uncorrectable) == (data, len(pos), False)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(words=_received_words(50))
+def test_block_decode_matches_scalar_oracle(words):
+    # 40 x 50 = 2000 words; the flag, the count and the bytes, miscorrections included
+    corrected, n_err, flagged = rs_decode_block(words)
+    for i, word in enumerate(words):
+        want = slow_rs_decode(word.tobytes())
+        assert (corrected[i, :K].tobytes(), int(n_err[i]), bool(flagged[i])) == want
+        assert flagged[i] or not syndromes_block(corrected[i : i + 1]).any()
+
+
+@settings(PROPERTY, max_examples=20)
+@given(words=_received_words(8))
+def test_block_decode_equals_stacked_blocks_of_one(words):
+    whole = rs_decode_block(words)
+    rows = [rs_decode_block(words[i : i + 1]) for i in range(len(words))]
+    for part, stacked in zip(whole, zip(*rows)):
+        assert np.array_equal(part, np.concatenate(stacked))
+
+
+def test_miscorrection_is_not_flagged():
+    # 9 bytes toward a neighbouring codeword: the decoder lands on the neighbour
+    rng = np.random.default_rng(6)
+    data = rng.integers(0, 256, (1, K), dtype=np.uint8)
+    word = rs_encode_block(data)[0]
+    neighbour = word.copy()
+    neighbour[100 : 100 + PARITY + 1] ^= np.array(GENERATOR, dtype=np.uint8)
+    word[100:109] = neighbour[100:109]
+    corrected, n_err, flagged = rs_decode_block(word[None, :])
+    assert not flagged[0] and n_err[0] == 8
+    assert np.array_equal(corrected[0], neighbour)
+    assert slow_rs_decode(word.tobytes()) == (neighbour[:K].tobytes(), 8, False)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(rows=st.lists(st.binary(min_size=K, max_size=K), min_size=1, max_size=3))
+def test_block_encoder_matches_division_oracle(rows):
+    gen = slow_generator()
+    assert gen == GENERATOR
+    block = rs_encode_block(np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, K))
+    for data, cw in zip(rows, block):
+        _, rem = slow_poly_divmod(list(data) + [0] * PARITY, gen)
+        assert cw.tobytes() == data + bytes(rem)
+
+
+def test_decode_block_validates_shapes():
+    with pytest.raises(ValueError):
+        rs_decode_block(np.zeros((2, 254), np.uint8))
+    with pytest.raises(ValueError):
+        rs_decode_block(np.zeros((2, N), np.uint8), np.zeros((3, PARITY), np.uint8))

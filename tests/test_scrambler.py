@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scmodem import scrambler
 
@@ -42,11 +44,13 @@ def test_scramble_all_zero_payload_yields_tiled_sequence():
     assert out == scrambler.sequence_bytes() * 32
 
 
-def test_scramble_is_involution():
-    rng = np.random.default_rng(0)
-    payload = rng.integers(0, 256, 256, dtype=np.uint8).tobytes()
+@settings(deadline=None, derandomize=True)
+@given(payload=st.integers(0, 40).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n)))
+def test_scramble_is_involution(payload):
     assert scrambler.scramble(scrambler.scramble(payload)) == payload
     assert scrambler.descramble(scrambler.scramble(payload)) == payload
+    rows = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 8)
+    assert np.array_equal(scrambler.scramble_block(scrambler.scramble_block(rows)), rows)
 
 
 def test_rejects_non_multiple_of_8():

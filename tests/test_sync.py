@@ -18,7 +18,7 @@ from scmodem.sync import (
     window_scores,
 )
 
-from oracles import brute_best_k, brute_mcor
+from oracles import brute_best_k, brute_mcor, brute_window_scores
 
 PB = preamble_bits(DEFAULT_PREAMBLE)
 
@@ -54,6 +54,17 @@ def test_window_scores_match_correlate():
     rng = np.random.default_rng(2)
     for u in rng.integers(0, scores.size, 200):
         assert scores[u] == correlate(bits[u : u + 32], DEFAULT_PREAMBLE)
+
+
+@pytest.mark.parametrize("n_bits", [32, 33, 2112, 4161, 3 * FRAME_BITS + 5])
+def test_window_scores_match_brute_scan(n_bits):
+    rng = np.random.default_rng(n_bits)
+    _, frames = _stream(4, seed=n_bits)
+    for bits in (frames[:n_bits], rng.integers(0, 2, n_bits, dtype=np.uint8)):
+        for preamble in (DEFAULT_PREAMBLE, bytes(4), rng.integers(0, 256, 4, dtype=np.uint8).tobytes()):
+            scores = window_scores(bits, preamble)
+            assert scores.dtype == np.uint8
+            assert scores.tolist() == brute_window_scores(bits, preamble)
 
 
 def test_mcor_degenerate_all_zero_preamble():
