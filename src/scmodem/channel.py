@@ -38,16 +38,27 @@ def _rng(seed) -> np.random.Generator:
 def apply_awgn(symbols: np.ndarray, ebno_db: float | None, seed=0) -> np.ndarray:
     """Add circular complex Gaussian noise, Eb = 1 per symbol (one bit/symbol).
 
-    ebno_db = None (or +inf) is the no-noise mode.
+    Real or complex symbols in, complex128 out.  ebno_db = None (or +inf) is
+    the no-noise mode.  The draws are a stated contract: n standard normals
+    for the in-phase plane, then n for the quadrature plane, each scaled by
+    sigma = sqrt(N0 / 2) -- the same numbers as two ``rng.normal(0, sigma, n)``
+    calls.  The noise is written plane by plane into the output, so no
+    complex temporaries are built.
     """
-    sym = np.asarray(symbols, dtype=np.complex128)
     if ebno_db is None or np.isinf(ebno_db):
-        return sym.copy()
+        return np.array(symbols, dtype=np.complex128)
+    sym = np.asarray(symbols)
     n0 = 10.0 ** (-ebno_db / 10.0)  # Eb = 1
     rng = _rng(seed)
     sigma = np.sqrt(n0 / 2.0)
-    noise = rng.normal(0.0, sigma, sym.size) + 1j * rng.normal(0.0, sigma, sym.size)
-    return sym + noise
+    out = np.empty(sym.size, dtype=np.complex128)
+    noise = np.empty(sym.size)
+    imag = sym.imag if np.iscomplexobj(sym) else 0.0
+    for plane, signal in ((out.real, sym.real), (out.imag, imag)):
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        np.add(signal, noise, out=plane)
+    return out
 
 
 def apply_bsc(bits: np.ndarray, p: float, seed=0) -> np.ndarray:

@@ -254,76 +254,87 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parameters each runner reads, as they appear in manifest.json
+PARAMS = {
+    "ber": ("ebno_list", "frames", "coding", "threshold", "preamble", "extra_k", "seed"),
+    "sync": ("mode", "p_list", "threshold", "trials", "frames", "preamble", "seed"),
+    "preamble": ("preamble", "seed"),
+    "eye": ("oversampling", "symbols", "ebno", "seed"),
+    "fifo": ("frames", "depth", "write_scale", "read_scale", "seed"),
+}
+# integer parameters: (lowest, highest or None)
+INT_RANGES = {
+    "frames": (1, None),
+    "trials": (1, None),
+    "threshold": (1, 32),
+    "extra_k": (0, 255),
+    "depth": (2, None),
+    "oversampling": (2, None),
+    "symbols": (8, None),
+    "seed": (0, None),
+}
+
+
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_params(sub: str, params) -> dict:
+    """Validate a parameter dict in manifest form; return the runner's params.
+
+    Fresh runs and replayed manifests go through this one check, so an edited
+    manifest fails with a usage error exactly where the options would.
+    """
+    if not isinstance(params, dict):
+        raise UsageError("params must be a JSON object")
+    missing = [name for name in PARAMS[sub] if name not in params]
+    if missing:
+        raise UsageError(f"missing parameters: {', '.join(missing)}")
+    out = {name: params[name] for name in PARAMS[sub]}
+    for name, value in out.items():
+        flag = "--" + name.replace("_", "-")
+        if name in INT_RANGES:
+            lo, hi = INT_RANGES[name]
+            if not (isinstance(value, int) and not isinstance(value, bool)
+                    and value >= lo and (hi is None or value <= hi)):
+                bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+                raise UsageError(f"{flag} must be an integer {bound}")
+        elif name in ("ebno_list", "p_list"):
+            if not isinstance(value, list) or not all(_is_finite_number(v) for v in value):
+                raise UsageError(f"{flag} must be a list of finite numbers")
+            if name == "ebno_list" and not value:
+                raise UsageError("--ebno-list must not be empty")
+            if name == "p_list" and not all(0.0 <= p <= 0.5 for p in value):
+                raise UsageError("--p-list values must be in [0, 0.5]")
+        elif name == "preamble":
+            if not isinstance(value, str):
+                raise UsageError("--preamble must be 8 hex digits")
+            out[name] = _parse_preamble(value).hex().upper()
+        elif name in ("write_scale", "read_scale"):
+            try:
+                scale = Fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise UsageError(f"{flag} must be a rational like 1.01 or 101/100")
+            if scale <= 0:
+                raise UsageError(f"{flag} must be positive")
+        elif name == "coding" and not isinstance(value, bool):
+            raise UsageError("coding must be true or false")
+        elif name == "mode" and value not in ("detection", "false-alarm"):
+            raise UsageError("--mode must be detection or false-alarm")
+        elif name == "ebno" and not (value is None or _is_finite_number(value)):
+            raise UsageError("--ebno must be a finite number; omit it for noiseless")
+    return out
+
+
 def _resolve_params(args: argparse.Namespace) -> dict:
-    sub = args.subcommand
-    if sub == "ber":
-        if args.frames < 1:
-            raise UsageError("--frames must be positive")
-        ebno_list = _floats(args.ebno_list)
-        if not ebno_list:
-            raise UsageError("--ebno-list must not be empty")
-        if not 0 <= args.extra_k <= 255:
-            raise UsageError("--extra-k must be in [0, 255]")
-        if not 1 <= args.threshold <= 32:
-            raise UsageError("--threshold must be in [1, 32]")
-        return {
-            "ebno_list": ebno_list,
-            "frames": args.frames,
-            "coding": args.coding == "on",
-            "threshold": args.threshold,
-            "preamble": _parse_preamble(args.preamble).hex().upper(),
-            "extra_k": args.extra_k,
-            "seed": args.seed,
-        }
-    if sub == "sync":
-        if args.trials < 1 or args.frames < 1:
-            raise UsageError("--trials and --frames must be positive")
-        if not 1 <= args.threshold <= 32:
-            raise UsageError("--threshold must be in [1, 32]")
-        p_list = _floats(args.p_list)
-        if not all(0.0 <= p <= 0.5 for p in p_list):
-            raise UsageError("--p-list values must be in [0, 0.5]")
-        return {
-            "mode": args.mode,
-            "p_list": p_list,
-            "threshold": args.threshold,
-            "trials": args.trials,
-            "frames": args.frames,
-            "preamble": _parse_preamble(args.preamble).hex().upper(),
-            "seed": args.seed,
-        }
-    if sub == "preamble":
-        return {"preamble": _parse_preamble(args.preamble).hex().upper(), "seed": args.seed}
-    if sub == "eye":
-        if args.oversampling < 2:
-            raise UsageError("--oversampling must be >= 2")
-        if args.symbols < 8:
-            raise UsageError("--symbols must be >= 8")
-        return {
-            "oversampling": args.oversampling,
-            "symbols": args.symbols,
-            "ebno": args.ebno,
-            "seed": args.seed,
-        }
-    if sub == "fifo":
-        if args.depth < 2:
-            raise UsageError("--depth must be >= 2")
-        if args.frames < 1:
-            raise UsageError("--frames must be positive")
-        try:
-            scales = Fraction(args.write_scale), Fraction(args.read_scale)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError("--write-scale/--read-scale must be rationals like 1.01 or 101/100")
-        if min(scales) <= 0:
-            raise UsageError("--write-scale/--read-scale must be positive")
-        return {
-            "frames": args.frames,
-            "depth": args.depth,
-            "write_scale": args.write_scale,
-            "read_scale": args.read_scale,
-            "seed": args.seed,
-        }
-    raise UsageError(f"unknown subcommand {sub!r}")
+    """The options of a fresh run in manifest form, then validated."""
+    params = {name: getattr(args, name) for name in PARAMS[args.subcommand]}
+    for name in ("ebno_list", "p_list"):
+        if name in params:
+            params[name] = _floats(params[name])
+    if "coding" in params:
+        params["coding"] = params["coding"] == "on"
+    return _check_params(args.subcommand, params)
 
 
 def _out_dir(arg: str | None, default: Path | None = None) -> Path:
@@ -350,11 +361,16 @@ def main(argv=None) -> int:
                 manifest = json.loads(manifest_path.read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise UsageError(f"cannot read manifest: {exc}")
+            if not isinstance(manifest, dict):
+                raise UsageError("manifest must be a JSON object")
             sub = manifest.get("subcommand")
             if sub not in RUNNERS:
                 raise UsageError(f"manifest names unknown subcommand {sub!r}")
+            try:
+                params = _check_params(sub, manifest.get("params"))
+            except UsageError as exc:
+                raise UsageError(f"invalid manifest: {exc}")
             out_dir = _out_dir(args.out, default=manifest_path.parent)
-            params = dict(manifest["params"])
             outputs = RUNNERS[sub](params, out_dir)
             _write_manifest(out_dir, sub, params, outputs)
         else:

@@ -61,7 +61,7 @@ def _channel_pass(tx_bits: np.ndarray, spec: ChannelSpec | None, seed) -> np.nda
     if spec.kind == "bsc":
         return apply_bsc(tx_bits, spec.p, seed=seed)
     coded = diff_encode(tx_bits)
-    sym = map_bpsk(coded).astype(np.complex128)
+    sym = map_bpsk(coded)  # real; multipath and AWGN return complex128
     if spec.kind == "multipath":
         sym = apply_multipath(sym, spec.taps)
     if spec.ebno_db is not None:

@@ -24,6 +24,9 @@ N_OFFSETS = 8
 DEFAULT_PREAMBLE = bytes.fromhex("1ACFFC1D")
 DEFAULT_THRESHOLD = 28
 DECISION_WINDOW_BITS = FRAME_BITS + PREAMBLE_BITS  # 264 bytes
+# acquisition scans 4 frames, then 16, 64, ... until a prefix holds a hit
+SCAN_FIRST_BITS = 4 * FRAME_BITS
+SCAN_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -150,20 +153,33 @@ def detect(bits: np.ndarray, preamble: bytes = DEFAULT_PREAMBLE, threshold: int 
     window starting r bits later.  Detection fires at the first byte position
     where some rank clears the threshold in both banks; among simultaneous
     ranks the highest summed score wins, lowest rank on ties.
+
+    The scan covers a growing prefix of the stream, SCAN_FIRST_BITS first and
+    SCAN_GROWTH times more each round, and stops at the first prefix holding
+    a hit.  The first hit depends only on the bits up to it, and the no-hit
+    answer is taken from a scan of the whole stream, so the decision equals a
+    whole-stream scan's.  A stream with no hit is scanned once whole after
+    the shorter prefixes, which add less than 4/3 of the longest of them.
     """
     if not 1 <= threshold <= PREAMBLE_BITS:
         raise ValueError("threshold must be in [1, 32]")
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size < DECISION_WINDOW_BITS:
         raise ValueError(f"stream must hold at least {DECISION_WINDOW_BITS // 8} bytes")
-    scores = window_scores(bits, preamble).astype(np.int16)
-    usable = bits.size - DECISION_WINDOW_BITS + 1
-    s1 = scores[:usable]
-    s2 = scores[FRAME_BITS : FRAME_BITS + usable]
-    ok = (s1 >= threshold) & (s2 >= threshold)
-    n_pos = usable // N_OFFSETS  # fully covered byte positions
-    okm = ok[: n_pos * N_OFFSETS].reshape(n_pos, N_OFFSETS)
-    hits = np.nonzero(okm.any(axis=1))[0]
+    n_bits = SCAN_FIRST_BITS
+    while True:
+        n_bits = min(n_bits, bits.size)
+        scores = window_scores(bits[:n_bits], preamble).astype(np.int16)
+        usable = n_bits - DECISION_WINDOW_BITS + 1
+        s1 = scores[:usable]
+        s2 = scores[FRAME_BITS : FRAME_BITS + usable]
+        ok = (s1 >= threshold) & (s2 >= threshold)
+        n_pos = usable // N_OFFSETS  # fully covered byte positions
+        okm = ok[: n_pos * N_OFFSETS].reshape(n_pos, N_OFFSETS)
+        hits = np.nonzero(okm.any(axis=1))[0]
+        if hits.size or n_bits == bits.size:
+            break
+        n_bits *= SCAN_GROWTH
 
     def banks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         a = tuple(int(v) for v in scores[8 * m : 8 * m + 8])
@@ -249,15 +265,14 @@ def false_alarm_curve(
     data = rng.integers(0, 256, (n_frames + 2, framing.DATA_LEN), dtype=np.uint8)
     frames = framing.build_frames_block(data, preamble, extra_k)
     bits = np.unpackbits(frames.reshape(-1))
-    scores = window_scores(bits, preamble).astype(np.int16)
+    scores = window_scores(bits, preamble)
     n_pos_total = n_frames * FRAME_BITS
     s1 = scores[:n_pos_total]
     s2 = scores[FRAME_BITS : FRAME_BITS + n_pos_total]
     both = np.minimum(s1, s2)
-    offsets = np.arange(n_pos_total) % FRAME_BITS
-    eligible = both[offsets != 0]
+    eligible = both.reshape(n_frames, FRAME_BITS)[:, 1:]  # drop the true boundary
     n_pos = eligible.size
-    hist = np.bincount(eligible, minlength=PREAMBLE_BITS + 1)
+    hist = np.bincount(eligible.ravel(), minlength=PREAMBLE_BITS + 1)
     exceed = np.cumsum(hist[::-1])[::-1]  # exceed[S] = count(min >= S)
     points = []
     for s in range(1, PREAMBLE_BITS + 1):

@@ -5,7 +5,26 @@ vectorized paths: GF multiplication is bitwise peasant multiplication (the
 decoder's log/antilog tables are built from it here), polynomial division is
 schoolbook, the Reed-Solomon decoder works one word at a time on Python
 lists, and the correlation scan works on plain 32-bit integers.
+
+The DBPSK channel, demodulator and acquisition oracles at the end are the
+package's earlier straightforward versions, kept verbatim: complex128
+arithmetic throughout and a correlator scan over the whole stream.  The
+faster package paths must give the same outputs for every input.
 """
+
+import numpy as np
+
+from scmodem.channel import _rng
+from scmodem.framing import FRAME_BITS
+from scmodem.sync import (
+    DECISION_WINDOW_BITS,
+    DEFAULT_PREAMBLE,
+    DEFAULT_THRESHOLD,
+    N_OFFSETS,
+    PREAMBLE_BITS,
+    SyncDecision,
+    window_scores,
+)
 
 FIELD_POLY = 0x11D
 RS_N, RS_K, RS_PARITY, RS_T = 255, 239, 16, 8
@@ -189,3 +208,66 @@ def slow_rs_decode(received: bytes) -> tuple[bytes, int, bool]:
     if any(_slow_syndromes(fixed)):
         return failed
     return bytes(fixed[:RS_K]), L, False
+
+
+def slow_awgn(symbols: np.ndarray, ebno_db: float | None, seed=0) -> np.ndarray:
+    """Add circular complex Gaussian noise, Eb = 1 per symbol (one bit/symbol).
+
+    ebno_db = None (or +inf) is the no-noise mode.
+    """
+    sym = np.asarray(symbols, dtype=np.complex128)
+    if ebno_db is None or np.isinf(ebno_db):
+        return sym.copy()
+    n0 = 10.0 ** (-ebno_db / 10.0)  # Eb = 1
+    rng = _rng(seed)
+    sigma = np.sqrt(n0 / 2.0)
+    noise = rng.normal(0.0, sigma, sym.size) + 1j * rng.normal(0.0, sigma, sym.size)
+    return sym + noise
+
+
+def slow_diff_demod(received: np.ndarray, prev: complex | None = None) -> np.ndarray:
+    """Delay-and-multiply decisions: bit = 1 iff Re(r_k conj(r_{k-1})) < 0."""
+    r = np.asarray(received, dtype=np.complex128)
+    if prev is not None:
+        r = np.concatenate([[prev], r])
+    if r.size < 2:
+        return np.empty(0, dtype=np.uint8)
+    y = np.real(r[1:] * np.conj(r[:-1]))
+    return (y < 0).astype(np.uint8)
+
+
+def slow_detect(bits: np.ndarray, preamble: bytes = DEFAULT_PREAMBLE, threshold: int = DEFAULT_THRESHOLD) -> SyncDecision:
+    """Scan the whole stream for two same-rank preamble hits one frame apart."""
+    if not 1 <= threshold <= PREAMBLE_BITS:
+        raise ValueError("threshold must be in [1, 32]")
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.size < DECISION_WINDOW_BITS:
+        raise ValueError(f"stream must hold at least {DECISION_WINDOW_BITS // 8} bytes")
+    scores = window_scores(bits, preamble).astype(np.int16)
+    usable = bits.size - DECISION_WINDOW_BITS + 1
+    s1 = scores[:usable]
+    s2 = scores[FRAME_BITS : FRAME_BITS + usable]
+    ok = (s1 >= threshold) & (s2 >= threshold)
+    n_pos = usable // N_OFFSETS  # fully covered byte positions
+    okm = ok[: n_pos * N_OFFSETS].reshape(n_pos, N_OFFSETS)
+    hits = np.nonzero(okm.any(axis=1))[0]
+
+    def banks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        a = tuple(int(v) for v in scores[8 * m : 8 * m + 8])
+        b = tuple(int(v) for v in scores[8 * m + FRAME_BITS : 8 * m + FRAME_BITS + 8])
+        return a, b
+
+    if hits.size:
+        m = int(hits[0])
+        ranks = np.nonzero(okm[m])[0]
+        sums = s1[8 * m + ranks] + s2[8 * m + ranks]
+        r = int(ranks[np.argmax(sums)])
+        a, b = banks(m)
+        return SyncDecision(True, 8 * m + r, r, a, b, threshold)
+
+    # no detection: report the best candidate (highest min score, then sum)
+    flat = np.minimum(s1, s2)[: n_pos * N_OFFSETS]
+    key = flat * 128 + (s1 + s2)[: n_pos * N_OFFSETS]
+    u = int(np.argmax(key))
+    a, b = banks(u // 8)
+    return SyncDecision(False, u, u % 8, a, b, threshold)

@@ -98,6 +98,12 @@ def test_eye_rejects_low_oversampling(tmp_path):
     assert main(["eye", "--oversampling", "1", "--out", str(tmp_path)]) == 2
 
 
+def test_eye_rejects_non_finite_ebno(tmp_path, capsys):
+    assert main(["eye", "--ebno", "nan", "--out", str(tmp_path)]) == 2
+    assert main(["eye", "--ebno", "-inf", "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_fifo_subcommand(tmp_path):
     assert main(["fifo", "--frames", "200", "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "fifo.json").read_text())
@@ -141,3 +147,36 @@ def test_replay_reproduces_outputs(tmp_path):
 
 def test_replay_missing_manifest(tmp_path):
     assert main(["replay", str(tmp_path / "nope.json")]) == 2
+
+
+def _edited_manifest(tmp_path, argv, edit) -> Path:
+    orig = tmp_path / "orig"
+    assert main(argv + ["--out", str(orig)]) == 0
+    path = orig / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def _replay_is_usage_error(path: Path, tmp_path, capsys) -> None:
+    capsys.readouterr()
+    assert main(["replay", str(path), "--out", str(tmp_path / "replayed")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_replay_rejects_zero_write_scale(tmp_path, capsys):
+    path = _edited_manifest(tmp_path, ["fifo", "--frames", "20"],
+                            lambda m: m["params"].update(write_scale="0"))
+    _replay_is_usage_error(path, tmp_path, capsys)
+
+
+def test_replay_rejects_missing_params(tmp_path, capsys):
+    path = _edited_manifest(tmp_path, ["preamble"], lambda m: m.pop("params"))
+    _replay_is_usage_error(path, tmp_path, capsys)
+
+
+def test_replay_rejects_negative_frames(tmp_path, capsys):
+    path = _edited_manifest(tmp_path, ["ber", "--ebno-list", "6", "--frames", "20"],
+                            lambda m: m["params"].update(frames=-5))
+    _replay_is_usage_error(path, tmp_path, capsys)

@@ -103,3 +103,138 @@ def test_ber_sweep_monotone_and_coding_gain():
     coded = ber_sweep(LinkConfig(n_frames=400, coding=True, seed=10), [8])
     # waterfall region: raw BER ~1e-3, RS wipes nearly everything
     assert coded[0].ber < pts[-1].ber
+
+
+# vars(run_link(cfg)) recorded from the complex128 channel/demod path and the
+# whole-stream acquisition scan; the faster paths must reproduce them exactly.
+# late_lock acquires at frame 9, past the first acquisition prefix.
+PINNED_REPORTS = {
+    "coded_awgn_6db": (
+        LinkConfig(60, channel=ChannelSpec("awgn", ebno_db=6.0), coding=True, seed=21),
+        {
+            "frames_sent": 60,
+            "frames_detected": 60,
+            "frames_missed": 0,
+            "sync_acquired": True,
+            "coding": True,
+            "n_raw_bits": 122400,
+            "n_raw_bit_errors": 1194,
+            "n_data_bits": 114720,
+            "n_data_bit_errors": 1103,
+            "frame_errors": 59,
+            "ber_raw": 0.009754901960784313,
+            "ber_coded": 0.009614714086471408,
+            "fer": 0.9833333333333333,
+            "errors_corrected_hist": {0: 0, 6: 1},
+            "uncorrectable_frames": 59,
+        },
+    ),
+    "uncoded_awgn_4db": (
+        LinkConfig(60, channel=ChannelSpec("awgn", ebno_db=4.0), coding=False, seed=22),
+        {
+            "frames_sent": 60,
+            "frames_detected": 60,
+            "frames_missed": 0,
+            "sync_acquired": True,
+            "coding": False,
+            "n_raw_bits": 122400,
+            "n_raw_bit_errors": 4969,
+            "n_data_bits": 114720,
+            "n_data_bit_errors": 4676,
+            "frame_errors": 60,
+            "ber_raw": 0.04059640522875817,
+            "ber_coded": None,
+            "fer": 1.0,
+            "errors_corrected_hist": {},
+            "uncorrectable_frames": 0,
+        },
+    ),
+    "multipath_awgn": (
+        LinkConfig(
+            40, channel=ChannelSpec("multipath", ebno_db=9.0, taps=(1, 0.3 - 0.2j)), coding=True, seed=23
+        ),
+        {
+            "frames_sent": 40,
+            "frames_detected": 40,
+            "frames_missed": 0,
+            "sync_acquired": True,
+            "coding": True,
+            "n_raw_bits": 81600,
+            "n_raw_bit_errors": 417,
+            "n_data_bits": 76480,
+            "n_data_bit_errors": 203,
+            "frame_errors": 16,
+            "ber_raw": 0.005110294117647059,
+            "ber_coded": 0.0026542887029288704,
+            "fer": 0.4,
+            "errors_corrected_hist": {0: 0, 4: 1, 5: 1, 6: 11, 7: 6, 8: 5},
+            "uncorrectable_frames": 16,
+        },
+    ),
+    "bsc": (
+        LinkConfig(40, channel=ChannelSpec("bsc", p=2e-3), coding=True, seed=24),
+        {
+            "frames_sent": 40,
+            "frames_detected": 40,
+            "frames_missed": 0,
+            "sync_acquired": True,
+            "coding": True,
+            "n_raw_bits": 81600,
+            "n_raw_bit_errors": 156,
+            "n_data_bits": 76480,
+            "n_data_bit_errors": 9,
+            "frame_errors": 1,
+            "ber_raw": 0.001911764705882353,
+            "ber_coded": 0.00011767782426778242,
+            "fer": 0.025,
+            "errors_corrected_hist": {0: 4, 1: 1, 2: 5, 3: 8, 4: 7, 5: 6, 6: 4, 7: 3, 8: 1},
+            "uncorrectable_frames": 1,
+        },
+    ),
+    "late_lock_awgn_2db": (
+        LinkConfig(24, channel=ChannelSpec("awgn", ebno_db=2.0), coding=False, seed=2),
+        {
+            "frames_sent": 24,
+            "frames_detected": 15,
+            "frames_missed": 9,
+            "sync_acquired": True,
+            "coding": False,
+            "n_raw_bits": 30600,
+            "n_raw_bit_errors": 3205,
+            "n_data_bits": 28680,
+            "n_data_bit_errors": 3002,
+            "frame_errors": 15,
+            "ber_raw": 0.10473856209150327,
+            "ber_coded": None,
+            "fer": 1.0,
+            "errors_corrected_hist": {},
+            "uncorrectable_frames": 0,
+        },
+    ),
+    "no_sync_awgn_m5db": (
+        LinkConfig(24, channel=ChannelSpec("awgn", ebno_db=-5.0), coding=False, seed=25),
+        {
+            "frames_sent": 24,
+            "frames_detected": 0,
+            "frames_missed": 24,
+            "sync_acquired": False,
+            "coding": False,
+            "n_raw_bits": 0,
+            "n_raw_bit_errors": 0,
+            "n_data_bits": 0,
+            "n_data_bit_errors": 0,
+            "frame_errors": 0,
+            "ber_raw": None,
+            "ber_coded": None,
+            "fer": None,
+            "errors_corrected_hist": {},
+            "uncorrectable_frames": 0,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_REPORTS))
+def test_fixed_seed_reports_are_pinned(name):
+    cfg, expected = PINNED_REPORTS[name]
+    assert vars(run_link(cfg)) == expected
