@@ -87,8 +87,6 @@ def _floats(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"expected a comma-separated number list, got {text!r}")
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"numbers must be finite, got {text!r}")
     return values
 
 

@@ -42,22 +42,20 @@ def diff_demod(received: np.ndarray, prev: complex | None = None) -> np.ndarray:
     """Delay-and-multiply decisions: bit = 1 iff Re(r_k conj(r_{k-1})) < 0.
 
     Only the real part of the product is formed, as
-    Re(r_k) Re(r_{k-1}) + Im(r_k) Im(r_{k-1}); real input skips the second
-    term.  numpy's complex product may fuse that sum into one multiply-add,
-    so the metric can differ from it in the last bit, and a decision only
-    when the metric lies within one rounding of 0.  The first symbol is
-    consumed as the reference unless ``prev`` carries the last symbol of the
-    preceding chunk.  Ties (metric exactly 0) decide 0.
+    Re(r_k) Re(r_{k-1}) + Im(r_k) Im(r_{k-1}).  numpy's complex product may
+    fuse that sum into one multiply-add, so the metric can differ from it in
+    the last bit, and a decision only when the metric lies within one
+    rounding of 0.  The first symbol is consumed as the reference unless
+    ``prev`` carries the last symbol of the preceding chunk.  Ties (metric
+    exactly 0) decide 0.
     """
-    r = np.asarray(received)
+    r = np.asarray(received, dtype=np.complex128)
     if prev is not None:
         r = np.concatenate([[prev], r])
     if r.size < 2:
         return np.empty(0, dtype=np.uint8)
-    r = r.astype(np.complex128 if np.iscomplexobj(r) else np.float64, copy=False)
     y = r.real[1:] * r.real[:-1]
-    if np.iscomplexobj(r):
-        y += r.imag[1:] * r.imag[:-1]
+    y += r.imag[1:] * r.imag[:-1]
     return (y < 0).view(np.uint8)
 
 

@@ -24,9 +24,8 @@ N_OFFSETS = 8
 DEFAULT_PREAMBLE = bytes.fromhex("1ACFFC1D")
 DEFAULT_THRESHOLD = 28
 DECISION_WINDOW_BITS = FRAME_BITS + PREAMBLE_BITS  # 264 bytes
-# acquisition scans 4 frames, then 16, 64, ... until a prefix holds a hit
+# acquisition scans this prefix first, and the whole stream only if it holds no hit
 SCAN_FIRST_BITS = 4 * FRAME_BITS
-SCAN_GROWTH = 4
 
 
 @dataclass(frozen=True)
@@ -154,21 +153,17 @@ def detect(bits: np.ndarray, preamble: bytes = DEFAULT_PREAMBLE, threshold: int 
     where some rank clears the threshold in both banks; among simultaneous
     ranks the highest summed score wins, lowest rank on ties.
 
-    The scan covers a growing prefix of the stream, SCAN_FIRST_BITS first and
-    SCAN_GROWTH times more each round, and stops at the first prefix holding
-    a hit.  The first hit depends only on the bits up to it, and the no-hit
-    answer is taken from a scan of the whole stream, so the decision equals a
-    whole-stream scan's.  A stream with no hit is scanned once whole after
-    the shorter prefixes, which add less than 4/3 of the longest of them.
+    The scan covers the first SCAN_FIRST_BITS of the stream, and the whole
+    stream only if that prefix holds no hit.  The first hit depends only on
+    the bits up to it, and the no-hit answer is taken from the whole-stream
+    scan, so the decision equals a whole-stream scan's.
     """
     if not 1 <= threshold <= PREAMBLE_BITS:
         raise ValueError("threshold must be in [1, 32]")
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size < DECISION_WINDOW_BITS:
         raise ValueError(f"stream must hold at least {DECISION_WINDOW_BITS // 8} bytes")
-    n_bits = SCAN_FIRST_BITS
-    while True:
-        n_bits = min(n_bits, bits.size)
+    for n_bits in (min(SCAN_FIRST_BITS, bits.size), bits.size):
         scores = window_scores(bits[:n_bits], preamble).astype(np.int16)
         usable = n_bits - DECISION_WINDOW_BITS + 1
         s1 = scores[:usable]
@@ -179,7 +174,6 @@ def detect(bits: np.ndarray, preamble: bytes = DEFAULT_PREAMBLE, threshold: int 
         hits = np.nonzero(okm.any(axis=1))[0]
         if hits.size or n_bits == bits.size:
             break
-        n_bits *= SCAN_GROWTH
 
     def banks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         a = tuple(int(v) for v in scores[8 * m : 8 * m + 8])

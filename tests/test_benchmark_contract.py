@@ -1,21 +1,21 @@
 """The benchmark's traced run must see the same program as its untraced run.
 
-``benchmarks/worker.py`` rebinds every name in ``WRAP_POINTS`` to a wrapper
-that records a span and then reads counts off the return value.  A renamed
-function, a changed return type or an inlined call breaks that contract: the
-traced run raises or reads 0.  This runs each workload's smoke-size cycle
-both ways, through the worker's own cycle runner.
+``benchmarks/worker.py --trace 1`` rebinds a list of public names in the
+package to wrappers that record a span and then read counts off the return
+value.  A renamed function, a changed return type or an inlined call breaks
+that contract: the traced run raises, or its spans miss a layer.  This runs
+the worker's smoke-size cycle of each workload in a subprocess, both ways,
+and compares what it prints.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-
-import worker  # noqa: E402
-from spans import Recorder  # noqa: E402
+WORKER = Path(__file__).resolve().parents[1] / "benchmarks" / "worker.py"
 
 # layers each workload must reach through a wrap point
 LAYERS = {
@@ -27,21 +27,23 @@ LAYERS = {
 }
 
 
-def _run(workload: str, rec: Recorder) -> tuple[list, list[str]]:
-    errors: list[str] = []
-    results = worker.run_cycle(rec, worker.cycle(workload, True), 11, 1, 0, errors)
-    return results, errors
+def _start(workload: str, trace: int) -> subprocess.Popen:
+    args = ["--workload", workload, "--seed", "11", "--seconds", "0", "--trace", str(trace), "--tiny"]
+    return subprocess.Popen([sys.executable, str(WORKER)] + args,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _result(proc: subprocess.Popen) -> dict:
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
 
 
 @pytest.mark.parametrize("workload", list(LAYERS))
-def test_traced_cycle_matches_untraced(workload, monkeypatch):
-    plain, plain_errors = _run(workload, Recorder())
+def test_traced_cycle_matches_untraced(workload):
+    plain_proc, traced_proc = _start(workload, 0), _start(workload, 1)
+    plain, traced = _result(plain_proc), _result(traced_proc)
 
-    rec = Recorder()
-    for module, attr, name, count in worker.WRAP_POINTS:
-        monkeypatch.setattr(module, attr, rec.wrap(getattr(module, attr), name, count))
-    traced, traced_errors = _run(workload, rec)
-
-    assert plain_errors == [] and traced_errors == []
-    assert traced == plain
-    assert LAYERS[workload] <= {span[0] for span in rec.spans}
+    assert plain["errors"] == [] and traced["errors"] == []
+    assert traced["digest"] == plain["digest"]
+    assert LAYERS[workload] <= {span[0] for span in traced["spans"]}
