@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scmodem.channel import ChannelSpec, apply_awgn, apply_bsc, apply_multipath
+from scmodem.channel import ChannelSpec, apply_awgn, apply_bsc, apply_multipath, dbpsk_awgn_flips
 from scmodem.modem import diff_demod, diff_encode, map_bpsk
 
 
@@ -16,13 +16,26 @@ def test_spec_validation():
         ChannelSpec("bsc", p=1.5)
     with pytest.raises(ValueError):
         ChannelSpec("multipath", taps=(0.5, 1))
-    ChannelSpec("multipath", taps=(1, 0.3j))
+    ChannelSpec("multipath", taps=(1, 0.3j))  # ebno_db None: no noise
+    ChannelSpec("awgn", ebno_db=math.inf)
 
 
 def test_awgn_no_noise_mode():
     sym = map_bpsk(np.arange(100) % 2)
     assert np.array_equal(apply_awgn(sym, None), sym)
     assert np.array_equal(apply_awgn(sym, math.inf), sym)
+
+
+@pytest.mark.parametrize("ebno_db", [-math.inf, math.nan])
+def test_ebno_without_a_channel_is_rejected(ebno_db):
+    with pytest.raises(ValueError):
+        ChannelSpec("awgn", ebno_db=ebno_db)
+    with pytest.raises(ValueError):
+        ChannelSpec("multipath", ebno_db=ebno_db, taps=(1, 0.3j))
+    with pytest.raises(ValueError):
+        apply_awgn(np.ones(3), ebno_db)
+    with pytest.raises(ValueError):
+        dbpsk_awgn_flips(10, ebno_db)
 
 
 def test_awgn_noise_variance_at_0db():

@@ -107,7 +107,10 @@ def test_ber_sweep_monotone_and_coding_gain():
 
 # vars(run_link(cfg)) recorded from the complex128 channel/demod path and the
 # whole-stream acquisition scan; the faster paths must reproduce them exactly.
-# late_lock acquires at frame 9, past the first acquisition prefix.
+# The four AWGN-only entries come from the exact error sampler, whose draws
+# differ from the symbol chain's; redetect_bsc drops 4 frames whose preambles
+# score below the threshold.  late_lock is the first seed from 2 up whose
+# stream acquires past frame 4, beyond the first acquisition prefix.
 PINNED_REPORTS = {
     "coded_awgn_6db": (
         LinkConfig(60, channel=ChannelSpec("awgn", ebno_db=6.0), coding=True, seed=21),
@@ -118,15 +121,15 @@ PINNED_REPORTS = {
             "sync_acquired": True,
             "coding": True,
             "n_raw_bits": 122400,
-            "n_raw_bit_errors": 1194,
+            "n_raw_bit_errors": 1063,
             "n_data_bits": 114720,
-            "n_data_bit_errors": 1103,
-            "frame_errors": 59,
-            "ber_raw": 0.009754901960784313,
-            "ber_coded": 0.009614714086471408,
-            "fer": 0.9833333333333333,
-            "errors_corrected_hist": {0: 0, 6: 1},
-            "uncorrectable_frames": 59,
+            "n_data_bit_errors": 978,
+            "frame_errors": 58,
+            "ber_raw": 0.008684640522875818,
+            "ber_coded": 0.00852510460251046,
+            "fer": 0.9666666666666667,
+            "errors_corrected_hist": {0: 0, 6: 1, 8: 1},
+            "uncorrectable_frames": 58,
         },
     ),
     "uncoded_awgn_4db": (
@@ -138,11 +141,11 @@ PINNED_REPORTS = {
             "sync_acquired": True,
             "coding": False,
             "n_raw_bits": 122400,
-            "n_raw_bit_errors": 4969,
+            "n_raw_bit_errors": 4990,
             "n_data_bits": 114720,
             "n_data_bit_errors": 4676,
             "frame_errors": 60,
-            "ber_raw": 0.04059640522875817,
+            "ber_raw": 0.04076797385620915,
             "ber_coded": None,
             "fer": 1.0,
             "errors_corrected_hist": {},
@@ -191,20 +194,40 @@ PINNED_REPORTS = {
             "uncorrectable_frames": 1,
         },
     ),
-    "late_lock_awgn_2db": (
-        LinkConfig(24, channel=ChannelSpec("awgn", ebno_db=2.0), coding=False, seed=2),
+    "redetect_bsc": (
+        LinkConfig(40, channel=ChannelSpec("bsc", p=0.08), coding=False, seed=26, redetect=True),
         {
-            "frames_sent": 24,
-            "frames_detected": 15,
-            "frames_missed": 9,
+            "frames_sent": 40,
+            "frames_detected": 36,
+            "frames_missed": 4,
             "sync_acquired": True,
             "coding": False,
-            "n_raw_bits": 30600,
-            "n_raw_bit_errors": 3205,
-            "n_data_bits": 28680,
-            "n_data_bit_errors": 3002,
-            "frame_errors": 15,
-            "ber_raw": 0.10473856209150327,
+            "n_raw_bits": 73440,
+            "n_raw_bit_errors": 5814,
+            "n_data_bits": 68832,
+            "n_data_bit_errors": 5464,
+            "frame_errors": 36,
+            "ber_raw": 0.07916666666666666,
+            "ber_coded": None,
+            "fer": 1.0,
+            "errors_corrected_hist": {},
+            "uncorrectable_frames": 0,
+        },
+    ),
+    "late_lock_awgn_2db": (
+        LinkConfig(24, channel=ChannelSpec("awgn", ebno_db=2.0), coding=False, seed=8),
+        {
+            "frames_sent": 24,
+            "frames_detected": 19,
+            "frames_missed": 5,
+            "sync_acquired": True,
+            "coding": False,
+            "n_raw_bits": 38760,
+            "n_raw_bit_errors": 3924,
+            "n_data_bits": 36328,
+            "n_data_bit_errors": 3701,
+            "frame_errors": 19,
+            "ber_raw": 0.10123839009287926,
             "ber_coded": None,
             "fer": 1.0,
             "errors_corrected_hist": {},
@@ -238,3 +261,9 @@ PINNED_REPORTS = {
 def test_fixed_seed_reports_are_pinned(name):
     cfg, expected = PINNED_REPORTS[name]
     assert vars(run_link(cfg)) == expected
+
+
+def test_pinned_streams_cover_late_lock_and_no_sync():
+    late = PINNED_REPORTS["late_lock_awgn_2db"][1]
+    assert late["sync_acquired"] and late["frames_missed"] > 4
+    assert not PINNED_REPORTS["no_sync_awgn_m5db"][1]["sync_acquired"]
