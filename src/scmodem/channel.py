@@ -33,6 +33,8 @@ class ChannelSpec:
         if self.kind == "multipath":
             if not self.taps or self.taps[0] != 1:
                 raise ValueError("multipath taps must start with 1")
+            if not np.isfinite(np.asarray(self.taps, dtype=complex)).all():
+                raise ValueError("multipath taps must be finite")
 
 
 def _check_ebno(ebno_db: float) -> None:

@@ -19,7 +19,7 @@ from math import lcm
 import numpy as np
 
 from . import scrambler
-from .rs import DecodeOutcome, rs_decode, rs_encode, rs_encode_block
+from .rs import DecodeOutcome, rs_decode, rs_encode_block
 
 PREAMBLE_LEN = 4
 DATA_LEN = 239
@@ -42,16 +42,11 @@ TICKS_PER_FRAME = FRAME_LEN
 
 
 def build_frame(data: bytes, preamble: bytes, extra_k: int = DEFAULT_EXTRA_K) -> bytes:
-    """Assemble one 260-byte frame: preamble + scrambled(data | parity | extra)."""
-    if len(data) != DATA_LEN:
-        raise ValueError(f"data must be {DATA_LEN} bytes, got {len(data)}")
-    if len(preamble) != PREAMBLE_LEN:
-        raise ValueError(f"preamble must be {PREAMBLE_LEN} bytes, got {len(preamble)}")
-    if not 0 <= extra_k <= 255:
-        raise ValueError(f"extra byte k out of range: {extra_k}")
-    codeword = rs_encode(data)
-    body = codeword + bytes([extra_k])
-    return preamble + scrambler.scramble(body)
+    """Assemble one 260-byte frame: preamble + scrambled(data | parity | extra).
+
+    A block of one: ``build_frames_block`` validates the arguments.
+    """
+    return build_frames_block(np.frombuffer(bytes(data), dtype=np.uint8)[None, :], preamble, extra_k)[0].tobytes()
 
 
 def build_frames_block(data: np.ndarray, preamble: bytes, extra_k: int = DEFAULT_EXTRA_K) -> np.ndarray:
@@ -85,13 +80,6 @@ def parse_frame(raw: bytes, preamble: bytes) -> tuple[bytes, DecodeOutcome]:
     body = scrambler.descramble(raw[PREAMBLE_LEN:])
     outcome = rs_decode(body[: DATA_LEN + PARITY_LEN])
     return outcome.corrected_data, outcome
-
-
-def frame_to_hex(frame: bytes) -> str:
-    """Debug hex-dump: one frame as 520 uppercase hex characters."""
-    if len(frame) != FRAME_LEN:
-        raise ValueError(f"frame must be {FRAME_LEN} bytes, got {len(frame)}")
-    return frame.hex().upper()
 
 
 @dataclass

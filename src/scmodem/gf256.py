@@ -1,9 +1,9 @@
-"""GF(256) arithmetic over the field polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).
+"""GF(256) tables over the field polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).
 
-Log/antilog tables are built once at import; all operations are table lookups.
-The antilog table is doubled so that a log-sum up to 508 needs no modulo.
-The block Reed-Solomon routines use the full 256x256 product table and the
-inverse table instead.
+All arithmetic is a numpy table lookup: ``GF_EXP[i] = alpha^i`` for
+i = 0..254 with alpha = 0x02, ``GF_LOG`` its inverse on the nonzero
+elements, the full 256x256 product table ``GF_MUL`` and the inverse table
+``GF_INV``.  They are built once at import.
 """
 
 from __future__ import annotations
@@ -11,34 +11,27 @@ from __future__ import annotations
 import numpy as np
 
 FIELD_POLY = 0x11D
-ALPHA = 0x02
 ORDER = 255
 
 
-def _build_tables() -> tuple[list[int], list[int]]:
-    exp = [0] * 510
-    log = [0] * 256
+def _build_exp() -> np.ndarray:
+    exp = np.empty(ORDER, dtype=np.uint8)
     x = 1
     for i in range(ORDER):
         exp[i] = x
-        log[x] = i
         x <<= 1
         if x & 0x100:
             x ^= FIELD_POLY
-    for i in range(ORDER, 510):
-        exp[i] = exp[i - ORDER]
-    return exp, log
+    return exp
 
 
-EXP_TABLE, LOG_TABLE = _build_tables()
-
-# numpy views for the block-oriented Reed-Solomon routines
-GF_EXP = np.array(EXP_TABLE, dtype=np.uint8)
-GF_LOG = np.array(LOG_TABLE, dtype=np.int64)
+GF_EXP = _build_exp()
+GF_LOG = np.zeros(256, dtype=np.int64)  # GF_LOG[0] is unused
+GF_LOG[GF_EXP] = np.arange(ORDER)
 
 
 def _build_mul_table() -> np.ndarray:
-    mul = GF_EXP[GF_LOG[:, None] + GF_LOG[None, :]]
+    mul = np.tile(GF_EXP, 2)[GF_LOG[:, None] + GF_LOG[None, :]]  # a log sum is at most 508
     mul[0, :] = 0
     mul[:, 0] = 0
     return mul
@@ -47,44 +40,4 @@ def _build_mul_table() -> np.ndarray:
 # GF_MUL[a, b] = a * b; GF_INV[a] = 1 / a, with GF_INV[0] = 0 so that a
 # quotient by zero reads as 0
 GF_MUL = _build_mul_table()
-GF_INV = np.concatenate([[0], GF_EXP[ORDER - GF_LOG[1:]]]).astype(np.uint8)
-
-
-def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return EXP_TABLE[LOG_TABLE[a] + LOG_TABLE[b]]
-
-
-def gf_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("GF(256) division by zero")
-    if a == 0:
-        return 0
-    return EXP_TABLE[(LOG_TABLE[a] - LOG_TABLE[b]) % ORDER]
-
-
-def gf_pow(a: int, n: int) -> int:
-    if a == 0:
-        return 0 if n > 0 else 1
-    return EXP_TABLE[(LOG_TABLE[a] * n) % ORDER]
-
-
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("GF(256) inverse of zero")
-    return EXP_TABLE[ORDER - LOG_TABLE[a]]
-
-
-def poly_mul(p: list[int], q: list[int]) -> list[int]:
-    """Multiply polynomials with descending-order coefficient lists."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        la = LOG_TABLE[a]
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] ^= EXP_TABLE[la + LOG_TABLE[b]]
-    return out
-
+GF_INV = np.concatenate([[0], GF_EXP[-GF_LOG[1:] % ORDER]]).astype(np.uint8)

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import framing, scrambler
-from .channel import ChannelSpec, apply_awgn, apply_bsc, apply_multipath, bsc_flips, dbpsk_awgn_flips
+from .channel import ChannelSpec, apply_awgn, apply_multipath, bsc_flips, dbpsk_awgn_flips
 from .modem import diff_demod, diff_encode, map_bpsk
 from .rs import K as RS_K
 from .rs import N as RS_N
-from .rs import rs_decode  # noqa: F401 - kept bound here: benchmarks/worker.py wraps link.rs_decode
-from .rs import rs_decode_block, rs_encode_block, syndromes_block
+from .rs import rs_decode, rs_encode_block  # noqa: F401 - kept bound here: benchmarks/worker.py wraps both
+from .rs import rs_decode_block, syndromes_block
 from .sync import DEFAULT_PREAMBLE, DEFAULT_THRESHOLD, PREAMBLE_BITS, detect
 from .util import wilson_interval
 
@@ -63,11 +63,8 @@ class LinkReport:
     uncorrectable_frames: int = 0
 
 
-def _channel_pass(tx_bits: np.ndarray, spec: ChannelSpec | None, seed) -> np.ndarray:
-    if spec is None:
-        return tx_bits
-    if spec.kind == "bsc":
-        return apply_bsc(tx_bits, spec.p, seed=seed)
+def _channel_pass(tx_bits: np.ndarray, spec: ChannelSpec, seed) -> np.ndarray:
+    """The DBPSK symbol chain for an AWGN or multipath ``spec``."""
     coded = diff_encode(tx_bits)
     sym = map_bpsk(coded)  # real; multipath and AWGN return complex128
     if spec.kind == "multipath":
@@ -113,11 +110,8 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     n = cfg.n_frames
 
     data = rng.integers(0, 256, (n, RS_K), dtype=np.uint8)
-    tx_codewords = rs_encode_block(data)
-    frames = np.empty((n, framing.FRAME_LEN), dtype=np.uint8)
-    frames[:, : framing.PREAMBLE_LEN] = np.frombuffer(cfg.preamble, dtype=np.uint8)
-    body = np.hstack([tx_codewords, np.full((n, 1), cfg.extra_k, dtype=np.uint8)])
-    frames[:, framing.PREAMBLE_LEN :] = scrambler.scramble_block(body)
+    frames = framing.build_frames_block(data, cfg.preamble, cfg.extra_k)
+    tx = frames.copy()  # the channel XORs its flips into ``frames`` in place
 
     rx = _receive_frames(frames, cfg.channel, s_channel)
 
@@ -153,12 +147,12 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     frames_detected = int(det_idx.size)
     frames_missed = n - frames_detected
 
-    tx_cw = tx_codewords[first_frame:][det_idx]
     tx_data = data[first_frame:][det_idx]
-    bodies = scrambler.scramble_block(rx_frames[det_idx, framing.PREAMBLE_LEN :])
-    rx_cw = bodies[:, :RS_N]
-
-    raw_err = int(np.bitwise_count(rx_cw ^ tx_cw).sum())
+    rx_det = rx_frames[det_idx]
+    # scrambling is a fixed XOR, so scrambled codewords differ where the plain ones do
+    cw = slice(framing.PREAMBLE_LEN, framing.PREAMBLE_LEN + RS_N)
+    raw_err = int(np.bitwise_count(rx_det[:, cw] ^ tx[first_frame:][det_idx, cw]).sum())
+    rx_cw = scrambler.scramble_block(rx_det[:, framing.PREAMBLE_LEN :])[:, :RS_N]
     n_raw_bits = frames_detected * RS_N * 8
 
     hist: dict[int, int] = {}

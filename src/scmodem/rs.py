@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf256 import EXP_TABLE, GF_EXP, GF_INV, GF_MUL, ORDER, gf_mul, poly_mul
+from .gf256 import GF_EXP, GF_INV, GF_MUL, ORDER
 
 N = 255
 K = 239
@@ -37,7 +37,7 @@ _CHUNK = 512  # rows per table gather: bounds the (m, rows, 2) uint64 temporary
 def _generator_poly() -> list[int]:
     g = [1]
     for i in range(FIRST_ROOT, FIRST_ROOT + PARITY):
-        g = poly_mul(g, [1, EXP_TABLE[i]])
+        g = [a ^ b for a, b in zip(g + [0], [0] + GF_MUL[GF_EXP[i], g].tolist())]  # g (x + alpha^i)
     return g
 
 
@@ -52,11 +52,11 @@ def _packed_tables(coef: np.ndarray) -> np.ndarray:
 
 def _encoder_coefs() -> np.ndarray:
     """Row i: x^(254 - i) mod g(x), i.e. the parity of a unit at data byte i."""
-    gen = GENERATOR[1:]
-    rows = [gen]  # x^16 mod g, data byte 238
+    by_lead = GF_MUL[:, GENERATOR[1:]].tolist()  # by_lead[c][j] = c * g_(j+1)
+    rows = [GENERATOR[1:]]  # x^16 mod g, data byte 238
     for _ in range(K - 1):
         r = rows[-1]
-        rows.append([a ^ gf_mul(r[0], g) for a, g in zip(r[1:] + [0], gen)])
+        rows.append([a ^ b for a, b in zip(r[1:] + [0], by_lead[r[0]])])
     return np.array(rows[::-1], dtype=np.uint8)
 
 

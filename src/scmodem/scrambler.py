@@ -36,12 +36,11 @@ _MASK = np.frombuffer(sequence_bytes(), dtype=np.uint8)
 
 
 def scramble(payload: bytes) -> bytes:
-    """XOR the payload with the 8-byte sequence repeated cyclically."""
-    if len(payload) % 8:
-        raise ValueError(f"payload length must be a multiple of 8 bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    mask = np.tile(_MASK, len(payload) // 8)
-    return (arr ^ mask).tobytes()
+    """XOR the payload with the 8-byte sequence repeated cyclically.
+
+    A block of one: ``scramble_block`` validates the length.
+    """
+    return scramble_block(np.frombuffer(payload, dtype=np.uint8)[None, :])[0].tobytes()
 
 
 def descramble(payload: bytes) -> bytes:
@@ -53,6 +52,6 @@ def scramble_block(rows: np.ndarray) -> np.ndarray:
     """Scramble each row of an (n, m) uint8 array, m a multiple of 8."""
     rows = np.asarray(rows, dtype=np.uint8)
     if rows.shape[-1] % 8:
-        raise ValueError("row length must be a multiple of 8 bytes")
+        raise ValueError(f"row length must be a multiple of 8 bytes, got {rows.shape[-1]}")
     mask = np.tile(_MASK, rows.shape[-1] // 8)
     return rows ^ mask

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import framing
 from .framing import DEFAULT_EXTRA_K, FRAME_BITS
-from .util import bytes_to_bits, wilson_interval
+from .util import wilson_interval
 
 PREAMBLE_BITS = 32
 N_OFFSETS = 8
@@ -65,7 +65,7 @@ class CurvePoint:
 def preamble_bits(preamble: bytes) -> np.ndarray:
     if len(preamble) != PREAMBLE_BITS // 8:
         raise ValueError(f"preamble must be {PREAMBLE_BITS // 8} bytes, got {len(preamble)}")
-    return bytes_to_bits(preamble)
+    return np.unpackbits(np.frombuffer(bytes(preamble), dtype=np.uint8))
 
 
 def correlate(window: np.ndarray, preamble: bytes | np.ndarray) -> int:
@@ -101,21 +101,12 @@ def window_scores(bits: np.ndarray, preamble: bytes) -> np.ndarray:
     return scores.reshape(-1)[:n_valid]
 
 
-def _extra_bits_tail(k: int, i: int) -> np.ndarray:
-    """[d(i), d(i-1), ..., d(1)] — the last i transmitted bits of the extra byte."""
-    return np.array([(k >> (j - 1)) & 1 for j in range(i, 0, -1)], dtype=np.uint8)
-
-
 def mcor(preamble: bytes, k: int) -> McorResult:
-    """Worst correlation between P and the windows straddling d and P."""
+    """Worst correlation between P and the windows straddling d and P: row k of ``mcor_scores_all``."""
     if not 0 <= k <= 255:
         raise ValueError(f"k out of range: {k}")
-    pb = preamble_bits(preamble)
-    scores = []
-    for i in range(1, N_OFFSETS + 1):
-        window = np.concatenate([_extra_bits_tail(k, i), pb[: PREAMBLE_BITS - i]])
-        scores.append(correlate(window, pb))
-    return McorResult(k=k, mcor=max(scores), scores=tuple(scores))
+    scores = tuple(int(s) for s in mcor_scores_all(preamble)[k])
+    return McorResult(k=k, mcor=max(scores), scores=scores)
 
 
 def mcor_scores_all(preamble: bytes) -> np.ndarray:

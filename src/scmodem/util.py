@@ -1,15 +1,8 @@
-"""Small shared helpers: bit unpacking and binomial confidence intervals."""
+"""Small shared helpers: binomial confidence intervals."""
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-def bytes_to_bits(data: bytes | np.ndarray) -> np.ndarray:
-    """MSB-first unpacking of a byte buffer into a uint8 bit array."""
-    arr = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(data, (bytes, bytearray)) else np.asarray(data, dtype=np.uint8)
-    return np.unpackbits(arr)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -16,6 +16,9 @@ def test_spec_validation():
         ChannelSpec("bsc", p=1.5)
     with pytest.raises(ValueError):
         ChannelSpec("multipath", taps=(0.5, 1))
+    for bad in (math.nan, math.inf, complex(0.3, math.nan)):
+        with pytest.raises(ValueError):
+            ChannelSpec("multipath", taps=(1, bad))
     ChannelSpec("multipath", taps=(1, 0.3j))  # ebno_db None: no noise
     ChannelSpec("awgn", ebno_db=math.inf)
 

@@ -43,6 +43,14 @@ def test_validates_n_frames():
         run_link(LinkConfig(n_frames=0))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"extra_k": 300}, "extra byte"), ({"extra_k": -1}, "extra byte"), ({"preamble": bytes(3)}, "preamble"),
+], ids=["extra_k=300", "extra_k=-1", "preamble_3_bytes"])
+def test_rejects_bad_frame_parameters(bad, message):
+    with pytest.raises(ValueError, match=message):
+        run_link(LinkConfig(n_frames=4, **bad))
+
+
 def test_awgn_uncoded_ber_matches_closed_form():
     cfg = LinkConfig(
         n_frames=1000, channel=ChannelSpec("awgn", ebno_db=8.0), coding=False, seed=5

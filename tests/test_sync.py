@@ -86,9 +86,11 @@ def test_mcor_matches_brute_force_for_default_preamble():
 
 
 def test_mcor_scores_all_matches_scalar():
-    table = mcor_scores_all(DEFAULT_PREAMBLE)
-    for k in (0, 1, 64, 128, 255):
-        assert tuple(table[k]) == mcor(DEFAULT_PREAMBLE, k).scores
+    rng = np.random.default_rng(9)
+    preambles = [DEFAULT_PREAMBLE, bytes(4)] + [rng.integers(0, 256, 4, dtype=np.uint8).tobytes() for _ in range(20)]
+    for preamble in preambles:
+        table = mcor_scores_all(preamble)
+        assert table.tolist() == [brute_mcor(preamble, k)[1] for k in range(256)]
 
 
 def test_optimizer_default_preamble_regression():
