@@ -19,7 +19,6 @@ class ChannelSpec:
     ebno_db: float | None = None
     p: float | None = None
     taps: tuple[complex, ...] | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("awgn", "bsc", "multipath"):
@@ -170,7 +169,10 @@ def dbpsk_awgn_flips(n_bits: int, ebno_db: float | None, seed=0) -> np.ndarray:
     if ebno_db is None or ebno_db == math.inf:
         return np.empty(0, dtype=np.int64)
     _check_ebno(ebno_db)
-    c = 10.0 ** (ebno_db / 20.0)
+    try:
+        c = 10.0 ** (ebno_db / 20.0)
+    except OverflowError:  # above about 6160 dB; q = Q(c) is 0 from about 32 dB on
+        return np.empty(0, dtype=np.int64)
     q = 0.5 * math.erfc(c / math.sqrt(2.0))
     if q == 0.0:
         return np.empty(0, dtype=np.int64)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -30,11 +31,8 @@ from .modem import WaveformConfig, diff_encode, eye_traces, map_bpsk, render_wav
 OUT_DIR_ENV = "SCMODEM_OUT"
 
 
-class UsageError(Exception):
-    pass
-
-
 def _atomic_write(path: Path, data: bytes) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -70,24 +68,6 @@ def _write_manifest(out_dir: Path, subcommand: str, params: dict, outputs: list[
         "outputs": outputs,
     }
     _atomic_write(out_dir / "manifest.json", (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-
-
-def _parse_preamble(text: str) -> bytes:
-    try:
-        pre = bytes.fromhex(text)
-    except ValueError:
-        raise UsageError(f"preamble must be 8 hex digits, got {text!r}")
-    if len(pre) != 4:
-        raise UsageError(f"preamble must be 8 hex digits, got {text!r}")
-    return pre
-
-
-def _floats(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated number list, got {text!r}")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -164,29 +144,16 @@ def run_eye(params: dict, out_dir: Path) -> list[str]:
 
 
 def run_fifo(params: dict, out_dir: Path) -> list[str]:
-    w_scale = Fraction(params["write_scale"])
-    r_scale = Fraction(params["read_scale"])
+    write_rate = framing.F1_MHZ * Fraction(params["write_scale"])
+    read_rate = framing.F2_MHZ * Fraction(params["read_scale"])
     rep = framing.simulate_fifo(
         n_frames=params["frames"],
         depth=params["depth"],
-        write_rate_mhz=framing.F1_MHZ * w_scale,
-        read_rate_mhz=framing.F2_MHZ * r_scale,
+        write_rate_mhz=write_rate,
+        read_rate_mhz=read_rate,
     )
-    report = {
-        "depth": rep.depth,
-        "n_frames": rep.n_frames,
-        "n_writes": rep.n_writes,
-        "n_reads": rep.n_reads,
-        "write_rate_mhz": str(framing.F1_MHZ * w_scale),
-        "read_rate_mhz": str(framing.F2_MHZ * r_scale),
-        "min_occupancy": rep.min_occupancy,
-        "max_occupancy": rep.max_occupancy,
-        "underflow_count": rep.underflow_count,
-        "overflow_count": rep.overflow_count,
-        "first_underflow_read": rep.first_underflow_read,
-        "first_overflow_write": rep.first_overflow_write,
-        "read_start_time_us": str(rep.read_start_time_us),
-    }
+    fields = dataclasses.asdict(rep) | {"write_rate_mhz": write_rate, "read_rate_mhz": read_rate}
+    report = {k: str(v) if isinstance(v, Fraction) else v for k, v in fields.items() if k != "occupancy_at_reads"}
     _atomic_write(out_dir / "fifo.json", (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     return ["fifo.json"]
 
@@ -200,49 +167,123 @@ RUNNERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# option types: each turns an option's text into its manifest value and checks
+# it, by the library's own check where there is one (a config class checks the
+# value it is built from); argparse reports a ValueError, or the
+# ZeroDivisionError of a rational like 1/0, as a usage error
+
+
+def _option_type(convert, check=lambda value: None):
+    def parse(text: str):
+        try:
+            value = convert(text)
+            check(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
+def _at_least(lo: int):
+    def check(value: int) -> None:
+        if value < lo:
+            raise ValueError(f"must be an integer >= {lo}, got {value}")
+
+    return check
+
+
+def _numbers(text: str) -> list[float]:
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"expected a comma-separated list of finite numbers, got {text!r}")
+    return values
+
+
+def _non_empty(values: list) -> None:
+    if not values:
+        raise ValueError("must not be empty")
+
+
+def _finite_ebno(value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError("--ebno must be a finite number; omit it for noiseless")
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError(f"must be on or off, got {text!r}")
+    return text == "on"
+
+
+def _preamble_hex(text: str) -> str:
+    preamble = bytes.fromhex(text)
+    framing.check_preamble(preamble)
+    return preamble.hex().upper()
+
+
+def _positive_rational(text: str) -> str:
+    if Fraction(text) <= 0:
+        raise ValueError(f"must be a positive rational like 1.01 or 101/100, got {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of each option: its default and a type that converts and checks it.
+
+    Replay parses a manifest's params with this parser too (``_manifest_argv``).
+    """
     parser = argparse.ArgumentParser(prog="scmodem", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"scmodem {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    count = _option_type(int, _at_least(1))
+    threshold = _option_type(int, sync.check_threshold)
+    preamble = _option_type(_preamble_hex)
+    default_preamble = sync.DEFAULT_PREAMBLE.hex().upper()
+    scale = _option_type(_positive_rational)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_option_type(int, np.random.SeedSequence), default=0)
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or cwd)")
 
     p = subs.add_parser("ber", help="BER vs Eb/N0 sweep over AWGN (ber.csv)")
-    p.add_argument("--ebno-list", default="4,6,8,10", help="comma-separated Eb/N0 values in dB")
-    p.add_argument("--frames", type=int, default=500, help="frames per sweep point")
-    p.add_argument("--coding", choices=["on", "off"], default="off")
-    p.add_argument("--threshold", type=int, default=sync.DEFAULT_THRESHOLD)
-    p.add_argument("--preamble", default=sync.DEFAULT_PREAMBLE.hex().upper())
-    p.add_argument("--extra-k", type=int, default=framing.DEFAULT_EXTRA_K)
+    p.add_argument("--ebno-list", type=_option_type(_numbers, _non_empty), default="4,6,8,10",
+                   help="comma-separated Eb/N0 values in dB")
+    p.add_argument("--frames", type=_option_type(int, LinkConfig), default=500, help="frames per sweep point, >= 2")
+    p.add_argument("--coding", type=_option_type(_on_off), default="off", metavar="{on,off}")
+    p.add_argument("--threshold", type=threshold, default=sync.DEFAULT_THRESHOLD)
+    p.add_argument("--preamble", type=preamble, default=default_preamble)
+    p.add_argument("--extra-k", type=_option_type(int, framing.check_extra_k), default=framing.DEFAULT_EXTRA_K)
     common(p)
 
     p = subs.add_parser("sync", help="detection or false-alarm probability curves")
     p.add_argument("--mode", choices=["detection", "false-alarm"], required=True)
-    p.add_argument("--p-list", default="0.01,0.05,0.1", help="BSC error probabilities (detection mode)")
-    p.add_argument("--threshold", type=int, default=sync.DEFAULT_THRESHOLD)
-    p.add_argument("--trials", type=int, default=20000, help="trials per point (detection mode)")
-    p.add_argument("--frames", type=int, default=1000, help="random frames scanned (false-alarm mode)")
-    p.add_argument("--preamble", default=sync.DEFAULT_PREAMBLE.hex().upper())
+    p.add_argument("--p-list", type=_option_type(_numbers, sync.check_p_list), default="0.01,0.05,0.1",
+                   help="BSC error probabilities (detection mode)")
+    p.add_argument("--threshold", type=threshold, default=sync.DEFAULT_THRESHOLD)
+    p.add_argument("--trials", type=count, default=20000, help="trials per point (detection mode)")
+    p.add_argument("--frames", type=count, default=1000, help="random frames scanned (false-alarm mode)")
+    p.add_argument("--preamble", type=preamble, default=default_preamble)
     common(p)
 
     p = subs.add_parser("preamble", help="Mcor(k) curve and best extra byte k*")
-    p.add_argument("--preamble", default=sync.DEFAULT_PREAMBLE.hex().upper(), help="8 hex digits")
+    p.add_argument("--preamble", type=preamble, default=default_preamble, help="8 hex digits")
     common(p)
 
     p = subs.add_parser("eye", help="simulated eye-diagram traces (eye.csv)")
-    p.add_argument("--oversampling", "-L", type=int, default=8)
-    p.add_argument("--symbols", type=int, default=512)
-    p.add_argument("--ebno", type=float, default=None, help="Eb/N0 in dB; omit for noiseless")
+    p.add_argument("--oversampling", "-L", type=_option_type(int, WaveformConfig), default=8)
+    p.add_argument("--symbols", type=_option_type(int, _at_least(8)), default=512)
+    p.add_argument("--ebno", type=_option_type(float, _finite_ebno), default=None,
+                   help="Eb/N0 in dB; omit for noiseless")
     common(p)
 
     p = subs.add_parser("fifo", help="dual-clock FIFO occupancy report (fifo.json)")
-    p.add_argument("--frames", type=int, default=1000)
-    p.add_argument("--depth", type=int, default=512)
-    p.add_argument("--write-scale", default="1", help="exact rational scale on f1, e.g. 101/100")
-    p.add_argument("--read-scale", default="1", help="exact rational scale on f2")
+    p.add_argument("--frames", type=count, default=1000)
+    p.add_argument("--depth", type=_option_type(int, _at_least(2)), default=512)
+    p.add_argument("--write-scale", type=scale, default="1", help="exact rational scale on f1, e.g. 101/100")
+    p.add_argument("--read-scale", type=scale, default="1", help="exact rational scale on f2")
     common(p)
 
     p = subs.add_parser("replay", help="re-run a manifest bit-identically")
@@ -252,134 +293,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the parameters each runner reads, as they appear in manifest.json
-PARAMS = {
-    "ber": ("ebno_list", "frames", "coding", "threshold", "preamble", "extra_k", "seed"),
-    "sync": ("mode", "p_list", "threshold", "trials", "frames", "preamble", "seed"),
-    "preamble": ("preamble", "seed"),
-    "eye": ("oversampling", "symbols", "ebno", "seed"),
-    "fifo": ("frames", "depth", "write_scale", "read_scale", "seed"),
-}
-# integer parameters: (lowest, highest or None)
-INT_RANGES = {
-    "frames": (1, None),
-    "trials": (1, None),
-    "threshold": (1, 32),
-    "extra_k": (0, 255),
-    "depth": (2, None),
-    "oversampling": (2, None),
-    "symbols": (8, None),
-    "seed": (0, None),
-}
+def _option_text(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, list):
+        return ",".join(_option_text(v) for v in value)
+    return str(value)  # the str of a float is its shortest round-trip repr
 
 
-def _is_finite_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+def _manifest_argv(parser: argparse.ArgumentParser, manifest_path: Path) -> list[str]:
+    """The command line whose options a manifest's params are, one ``--name=value`` each.
 
-
-def _check_params(sub: str, params) -> dict:
-    """Validate a parameter dict in manifest form; return the runner's params.
-
-    Fresh runs and replayed manifests go through this one check, so an edited
-    manifest fails with a usage error exactly where the options would.
+    A null leaves out an option whose default is None (eye's --ebno) and is
+    a usage error elsewhere; a missing option is a usage error; keys that
+    name no option, such as preamble's k_star output, are ignored.
     """
-    if not isinstance(params, dict):
-        raise UsageError("params must be a JSON object")
-    missing = [name for name in PARAMS[sub] if name not in params]
-    if missing:
-        raise UsageError(f"missing parameters: {', '.join(missing)}")
-    out = {name: params[name] for name in PARAMS[sub]}
-    for name, value in out.items():
-        flag = "--" + name.replace("_", "-")
-        if name in INT_RANGES:
-            lo, hi = INT_RANGES[name]
-            if not (isinstance(value, int) and not isinstance(value, bool)
-                    and value >= lo and (hi is None or value <= hi)):
-                bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-                raise UsageError(f"{flag} must be an integer {bound}")
-        elif name in ("ebno_list", "p_list"):
-            if not isinstance(value, list) or not all(_is_finite_number(v) for v in value):
-                raise UsageError(f"{flag} must be a list of finite numbers")
-            if name == "ebno_list" and not value:
-                raise UsageError("--ebno-list must not be empty")
-            if name == "p_list" and not all(0.0 <= p <= 0.5 for p in value):
-                raise UsageError("--p-list values must be in [0, 0.5]")
-        elif name == "preamble":
-            if not isinstance(value, str):
-                raise UsageError("--preamble must be 8 hex digits")
-            out[name] = _parse_preamble(value).hex().upper()
-        elif name in ("write_scale", "read_scale"):
-            try:
-                scale = Fraction(value)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise UsageError(f"{flag} must be a rational like 1.01 or 101/100")
-            if scale <= 0:
-                raise UsageError(f"{flag} must be positive")
-        elif name == "coding" and not isinstance(value, bool):
-            raise UsageError("coding must be true or false")
-        elif name == "mode" and value not in ("detection", "false-alarm"):
-            raise UsageError("--mode must be detection or false-alarm")
-        elif name == "ebno" and not (value is None or _is_finite_number(value)):
-            raise UsageError("--ebno must be a finite number; omit it for noiseless")
-    return out
-
-
-def _resolve_params(args: argparse.Namespace) -> dict:
-    """The options of a fresh run in manifest form, then validated."""
-    params = {name: getattr(args, name) for name in PARAMS[args.subcommand]}
-    for name in ("ebno_list", "p_list"):
-        if name in params:
-            params[name] = _floats(params[name])
-    if "coding" in params:
-        params["coding"] = params["coding"] == "on"
-    return _check_params(args.subcommand, params)
-
-
-def _out_dir(arg: str | None, default: Path | None = None) -> Path:
-    if arg:
-        path = Path(arg)
-    elif default is not None:
-        path = default
-    else:
-        path = Path(os.environ.get(OUT_DIR_ENV, "."))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read manifest: {exc}")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("params"), dict):
+        parser.error("manifest and its params must be JSON objects")
+    sub, params = manifest.get("subcommand"), manifest["params"]
+    if not isinstance(sub, str) or sub not in RUNNERS:
+        parser.error(f"manifest names unknown subcommand {sub!r}")
+    argv = [sub]
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in subparsers.choices[sub]._actions:
+        if action.dest in ("help", "out"):  # the run's parameters are its other options
+            continue
+        if action.dest not in params:
+            parser.error(f"manifest parameter {action.dest} is missing")
+        if params[action.dest] is not None:
+            argv.append(f"{action.option_strings[0]}={_option_text(params[action.dest])}")
+        elif action.default is not None:
+            parser.error(f"manifest parameter {action.dest} is null")
+    return argv
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
         if args.subcommand == "replay":
-            manifest_path = Path(args.manifest)
-            try:
-                manifest = json.loads(manifest_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise UsageError(f"cannot read manifest: {exc}")
-            if not isinstance(manifest, dict):
-                raise UsageError("manifest must be a JSON object")
-            sub = manifest.get("subcommand")
-            if sub not in RUNNERS:
-                raise UsageError(f"manifest names unknown subcommand {sub!r}")
-            try:
-                params = _check_params(sub, manifest.get("params"))
-            except UsageError as exc:
-                raise UsageError(f"invalid manifest: {exc}")
-            out_dir = _out_dir(args.out, default=manifest_path.parent)
-            outputs = RUNNERS[sub](params, out_dir)
-            _write_manifest(out_dir, sub, params, outputs)
-        else:
-            params = _resolve_params(args)
-            out_dir = _out_dir(args.out)
-            outputs = RUNNERS[args.subcommand](params, out_dir)
-            _write_manifest(out_dir, args.subcommand, params, outputs)
+            out_dir = Path(args.out or Path(args.manifest).parent)
+            args = parser.parse_args(_manifest_argv(parser, Path(args.manifest)))
+        params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "out")}
+        outputs = RUNNERS[args.subcommand](params, out_dir)
+        _write_manifest(out_dir, args.subcommand, params, outputs)
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except SystemExit as exc:  # argparse has printed a usage error (exit 2), or --help / --version
+        return exc.code if isinstance(exc.code, int) else 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,16 @@ READS_PER_FRAME = DATA_LEN
 TICKS_PER_FRAME = FRAME_LEN
 
 
+def check_preamble(preamble: bytes) -> None:
+    if len(preamble) != PREAMBLE_LEN:
+        raise ValueError(f"preamble must be {PREAMBLE_LEN} bytes, got {len(preamble)}")
+
+
+def check_extra_k(extra_k: int) -> None:
+    if not 0 <= extra_k <= 255:
+        raise ValueError(f"extra byte k out of range: {extra_k}")
+
+
 def build_frame(data: bytes, preamble: bytes, extra_k: int = DEFAULT_EXTRA_K) -> bytes:
     """Assemble one 260-byte frame: preamble + scrambled(data | parity | extra).
 
@@ -54,10 +64,8 @@ def build_frames_block(data: np.ndarray, preamble: bytes, extra_k: int = DEFAULT
     data = np.asarray(data, dtype=np.uint8)
     if data.ndim != 2 or data.shape[1] != DATA_LEN:
         raise ValueError(f"data must have shape (n, {DATA_LEN})")
-    if len(preamble) != PREAMBLE_LEN:
-        raise ValueError(f"preamble must be {PREAMBLE_LEN} bytes")
-    if not 0 <= extra_k <= 255:
-        raise ValueError(f"extra byte k out of range: {extra_k}")
+    check_preamble(preamble)
+    check_extra_k(extra_k)
     n = data.shape[0]
     codewords = rs_encode_block(data)
     body = np.hstack([codewords, np.full((n, 1), extra_k, dtype=np.uint8)])
@@ -75,8 +83,7 @@ def parse_frame(raw: bytes, preamble: bytes) -> tuple[bytes, DecodeOutcome]:
     """
     if len(raw) != FRAME_LEN:
         raise ValueError(f"frame must be {FRAME_LEN} bytes, got {len(raw)}")
-    if len(preamble) != PREAMBLE_LEN:
-        raise ValueError(f"preamble must be {PREAMBLE_LEN} bytes")
+    check_preamble(preamble)
     body = scrambler.descramble(raw[PREAMBLE_LEN:])
     outcome = rs_decode(body[: DATA_LEN + PARITY_LEN])
     return outcome.corrected_data, outcome

@@ -17,6 +17,7 @@ by counting 2080-bit strides; per-frame re-validation is available behind
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,12 +29,17 @@ from .rs import K as RS_K
 from .rs import N as RS_N
 from .rs import rs_decode, rs_encode_block  # noqa: F401 - kept bound here: benchmarks/worker.py wraps both
 from .rs import rs_decode_block, syndromes_block
-from .sync import DEFAULT_PREAMBLE, DEFAULT_THRESHOLD, PREAMBLE_BITS, detect
+from .sync import DECISION_WINDOW_BITS, DEFAULT_PREAMBLE, DEFAULT_THRESHOLD, PREAMBLE_BITS, check_threshold, detect
 from .util import wilson_interval
+
+# acquisition reads two preambles one frame apart, DECISION_WINDOW_BITS in all
+MIN_FRAMES = -(-DECISION_WINDOW_BITS // framing.FRAME_BITS)
 
 
 @dataclass(frozen=True)
 class LinkConfig:
+    """One run of the link; invalid values raise ValueError here, not in ``run_link``."""
+
     n_frames: int
     channel: ChannelSpec | None = None
     threshold: int = DEFAULT_THRESHOLD
@@ -42,6 +48,13 @@ class LinkConfig:
     coding: bool = True
     seed: int = 0
     redetect: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n_frames, numbers.Integral) or self.n_frames < MIN_FRAMES:
+            raise ValueError(f"n_frames must be an int >= {MIN_FRAMES}, got {self.n_frames!r}")
+        check_threshold(self.threshold)
+        framing.check_preamble(self.preamble)
+        framing.check_extra_k(self.extra_k)
 
 
 @dataclass
@@ -102,8 +115,6 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     -5 dB).  BSC flips equal ``apply_bsc``'s, and multipath runs the symbol
     chain.  The stream is unpacked to bits only for ``detect``.
     """
-    if cfg.n_frames < 1:
-        raise ValueError("n_frames must be positive")
     ss = np.random.SeedSequence(cfg.seed)
     s_payload, s_channel = ss.spawn(2)
     rng = np.random.default_rng(s_payload)
@@ -121,8 +132,6 @@ def run_link(cfg: LinkConfig) -> LinkReport:
             sync_acquired=False, coding=cfg.coding,
         )
 
-    if n < 2:  # detect needs two preambles
-        return no_sync()
     decision = detect(np.unpackbits(rx.reshape(-1)), cfg.preamble, cfg.threshold)
     if not decision.detected:
         return no_sync()
@@ -208,14 +217,17 @@ def _point_seed(base_seed: int, index: int) -> int:
 
 
 def ber_sweep(base: LinkConfig, ebno_list) -> list[BerPoint]:
-    """Run the link at each Eb/N0 over an AWGN channel; Wilson intervals on BER."""
+    """Run the link at each Eb/N0 over an AWGN channel; Wilson intervals on BER.
+
+    Every point's channel is built, and so checked, before the first point runs.
+    """
+    cfgs = [
+        replace(base, channel=ChannelSpec("awgn", ebno_db=float(ebno)), seed=_point_seed(base.seed, i))
+        for i, ebno in enumerate(ebno_list)
+    ]
     points = []
-    for i, ebno in enumerate(ebno_list):
-        cfg = replace(
-            base,
-            channel=ChannelSpec("awgn", ebno_db=float(ebno)),
-            seed=_point_seed(base.seed, i),
-        )
+    for cfg in cfgs:
+        ebno = cfg.channel.ebno_db
         rep = run_link(cfg)
         if not rep.sync_acquired:
             raise RuntimeError(f"sync never acquired at Eb/N0 = {ebno} dB")
@@ -228,7 +240,7 @@ def ber_sweep(base: LinkConfig, ebno_list) -> list[BerPoint]:
         lo, hi = wilson_interval(n_err, n_bits)
         points.append(
             BerPoint(
-                ebno_db=float(ebno),
+                ebno_db=ebno,
                 ber=float(ber),
                 ber_raw=float(rep.ber_raw),
                 ber_coded=rep.ber_coded,

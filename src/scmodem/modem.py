@@ -78,20 +78,18 @@ class WaveformConfig:
     oversampling: int = 8
     # cutoff relative to the symbol rate; 8/7 puts it at 1 GHz for 875 Msym/s
     cutoff_ratio: float = 8.0 / 7.0
-    numtaps: int | None = None  # default 6*L + 1, linear phase
 
     def __post_init__(self) -> None:
-        if self.oversampling < 1:
-            raise ValueError("oversampling must be >= 1")
+        if self.oversampling < 2:
+            raise ValueError(f"oversampling must be >= 2, got {self.oversampling}")
 
 
 def lowpass_taps(cfg: WaveformConfig) -> np.ndarray:
     from scipy.signal import firwin  # only waveform rendering needs scipy
 
-    ntaps = cfg.numtaps if cfg.numtaps is not None else 6 * cfg.oversampling + 1
-    # firwin cutoff is relative to Nyquist = L/2 symbol rates
+    # 6 L + 1 taps, linear phase; firwin cutoff is relative to Nyquist = L/2 symbol rates
     norm = cfg.cutoff_ratio / (cfg.oversampling / 2.0)
-    return firwin(ntaps, min(norm, 0.999))
+    return firwin(6 * cfg.oversampling + 1, min(norm, 0.999))
 
 
 def render_waveform(symbols: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
@@ -100,8 +98,6 @@ def render_waveform(symbols: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     Output is group-delay compensated: sample i*L + L//2 is the center sample
     of symbol i.
     """
-    if cfg.oversampling < 2:
-        raise ValueError("oversampling must be >= 2 for waveform rendering")
     sym = np.asarray(symbols)
     x = np.repeat(np.real(sym).astype(np.float64), cfg.oversampling)
     taps = lowpass_taps(cfg)

@@ -26,6 +26,8 @@ DEFAULT_THRESHOLD = 28
 DECISION_WINDOW_BITS = FRAME_BITS + PREAMBLE_BITS  # 264 bytes
 # acquisition scans this prefix first, and the whole stream only if it holds no hit
 SCAN_FIRST_BITS = 4 * FRAME_BITS
+# trials per draw in detection_curve; the draws, and so its estimates, depend on it
+DETECTION_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,19 @@ class CurvePoint:
     n: int
 
 
+def check_threshold(threshold: int) -> None:
+    if not 1 <= threshold <= PREAMBLE_BITS:
+        raise ValueError(f"threshold must be in [1, {PREAMBLE_BITS}], got {threshold}")
+
+
+def check_p_list(p_list) -> None:
+    """The BSC error probabilities of ``detection_curve``: each in [0, 0.5]."""
+    if not all(0.0 <= p <= 0.5 for p in p_list):
+        raise ValueError(f"p must be in [0, 0.5], got {list(p_list)}")
+
+
 def preamble_bits(preamble: bytes) -> np.ndarray:
-    if len(preamble) != PREAMBLE_BITS // 8:
-        raise ValueError(f"preamble must be {PREAMBLE_BITS // 8} bytes, got {len(preamble)}")
+    framing.check_preamble(preamble)
     return np.unpackbits(np.frombuffer(bytes(preamble), dtype=np.uint8))
 
 
@@ -149,8 +161,7 @@ def detect(bits: np.ndarray, preamble: bytes = DEFAULT_PREAMBLE, threshold: int 
     the bits up to it, and the no-hit answer is taken from the whole-stream
     scan, so the decision equals a whole-stream scan's.
     """
-    if not 1 <= threshold <= PREAMBLE_BITS:
-        raise ValueError("threshold must be in [1, 32]")
+    check_threshold(threshold)
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size < DECISION_WINDOW_BITS:
         raise ValueError(f"stream must hold at least {DECISION_WINDOW_BITS // 8} bytes")
@@ -201,24 +212,26 @@ def detection_curve(
     p_list=(0.01, 0.05, 0.1),
     n_trials: int = 20000,
     seed: int = 0,
-    extra_k: int = DEFAULT_EXTRA_K,
-    batch: int = 4096,
 ) -> list[CurvePoint]:
     """Detection probability at the true boundary over BSC-corrupted two-frame
-    streams, one point per channel error probability p."""
+    streams, one point per channel error probability p.
+
+    Only the two preamble windows are read, so the extra byte cannot change
+    the estimate.  The arguments are checked before the first draw.
+    """
     pb = preamble_bits(preamble)
+    check_threshold(threshold)
+    check_p_list(p_list)
     children = np.random.SeedSequence(seed).spawn(len(p_list))
     points = []
     for p, child in zip(p_list, children):
-        if not 0.0 <= p <= 0.5:
-            raise ValueError("p must be in [0, 0.5]")
         rng = np.random.default_rng(child)
         hits = 0
         done = 0
         while done < n_trials:
-            b = min(batch, n_trials - done)
+            b = min(DETECTION_BATCH, n_trials - done)
             data = rng.integers(0, 256, (2 * b, framing.DATA_LEN), dtype=np.uint8)
-            frames = framing.build_frames_block(data, preamble, extra_k)
+            frames = framing.build_frames_block(data, preamble, DEFAULT_EXTRA_K)
             bits = np.unpackbits(frames.reshape(b, -1), axis=1)
             if p > 0.0:
                 bits ^= rng.random(bits.shape, dtype=np.float32) < p

@@ -51,6 +51,22 @@ def test_rejects_bad_frame_parameters(bad, message):
         run_link(LinkConfig(n_frames=4, **bad))
 
 
+@pytest.mark.parametrize("bad", [
+    {"threshold": 40}, {"extra_k": 300}, {"n_frames": 2.5}, {"n_frames": 1}, {"preamble": b"\x00"},
+], ids=["threshold=40", "extra_k=300", "n_frames=2.5", "n_frames=1", "preamble_1_byte"])
+def test_link_config_rejects_invalid_values(bad):
+    # n_frames = 1 can never acquire: two preambles 2080 bits apart need 2112 bits
+    with pytest.raises(ValueError):
+        LinkConfig(**{"n_frames": 4, **bad})
+
+
+@pytest.mark.parametrize("coding", [True, False])
+def test_huge_ebno_is_noiseless(coding):
+    # 10 ** (Eb/N0 / 20) overflows a float above about 6160 dB
+    noisy = run_link(LinkConfig(6, channel=ChannelSpec("awgn", ebno_db=1e308), coding=coding, seed=3))
+    assert noisy == run_link(LinkConfig(6, coding=coding, seed=3))
+
+
 def test_awgn_uncoded_ber_matches_closed_form():
     cfg = LinkConfig(
         n_frames=1000, channel=ChannelSpec("awgn", ebno_db=8.0), coding=False, seed=5
@@ -91,7 +107,7 @@ def test_redetect_mode_clean_channel():
 def test_sync_never_acquired_reports_unavailable():
     # a frame of pure noise at an exact-match threshold cannot sync
     cfg = LinkConfig(
-        n_frames=2, channel=ChannelSpec("bsc", p=0.5, seed=0), threshold=32, seed=9
+        n_frames=2, channel=ChannelSpec("bsc", p=0.5), threshold=32, seed=9
     )
     rep = run_link(cfg)
     assert not rep.sync_acquired

@@ -114,6 +114,11 @@ def test_waveform_requires_oversampling():
         WaveformConfig(oversampling=0)
 
 
+def test_waveform_config_rejects_one_sample_per_symbol():
+    with pytest.raises(ValueError, match="oversampling"):
+        WaveformConfig(oversampling=1)
+
+
 def test_alternating_pattern_has_open_eye():
     sym = map_bpsk(np.arange(256) % 2)
     samples = render_waveform(sym, WaveformConfig(oversampling=8))

@@ -187,6 +187,17 @@ def test_detection_curve_matches_binomial():
     assert abs(pts[0].estimate - q) <= 3 * sigma
 
 
+def test_detection_curve_checks_arguments_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("frames were built before the arguments were checked")
+
+    monkeypatch.setattr(framing, "build_frames_block", no_draws)
+    with pytest.raises(ValueError, match="threshold"):
+        detection_curve(threshold=40)
+    with pytest.raises(ValueError, match="p must be"):
+        detection_curve(p_list=[0.01, 0.7])
+
+
 def test_false_alarm_curve_shape_and_monotonicity():
     pts = false_alarm_curve(n_frames=300, seed=0)
     assert len(pts) == 32
